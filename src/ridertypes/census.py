@@ -8,14 +8,16 @@ with four pieces.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import math
+import os
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .boards import Board, lattice_points
@@ -31,6 +33,7 @@ from .geometry import (
     region_representatives,
     region_sample_points,
 )
+from .placement import count_sets, line_masks
 from .signature import (
     AttackError,
     Config,
@@ -81,50 +84,19 @@ class StabilizationReport:
 
 # -- grid engine -------------------------------------------------------------
 
-def _attack_masks(ms: MoveSet, cells: Sequence[tuple[int, int]]) -> list[int]:
-    """Per-cell bitmask of attacked cells; cells sharing a move line attack."""
-    masks = [0] * len(cells)
-    for mv in ms.moves:
-        groups: dict[int, list[int]] = {}
-        for idx, (x, y) in enumerate(cells):
-            groups.setdefault(mv.d * x - mv.c * y, []).append(idx)
-        for group in groups.values():
-            if len(group) < 2:
-                continue
-            gmask = 0
-            for idx in group:
-                gmask |= 1 << idx
-            for idx in group:
-                masks[idx] |= gmask & ~(1 << idx)
-    return masks
-
-
 def count_nonattacking(ms: MoveSet, board: Board, n: int, q: int) -> int:
     """Exact number of labelled nonattacking placements on the order-n board.
 
-    Backtracks over cells in lexicographic order (each set counted once) and
-    multiplies by q! at the end; the final piece is counted by popcount.
+    Counts the nonattacking q-sets of cells with the bitmask core of
+    `placement` (the last two pieces in closed form) and multiplies by q!.
     """
     if q < 1 or n < 1:
         raise GeometryError("need q >= 1 and n >= 1")
     cells = lattice_points(board, n).cells
     if q == 1:
         return len(cells)
-    masks = _attack_masks(ms, cells)
-
-    def place(avail: int, depth: int) -> int:
-        if depth == q - 1:
-            return avail.bit_count()
-        total = 0
-        m = avail
-        while m:
-            low = m & -m
-            idx = low.bit_length() - 1
-            m ^= low
-            total += place(avail & ~masks[idx] & ~((low << 1) - 1), depth + 1)
-        return total
-
-    sets = place((1 << len(cells)) - 1, 0)
+    lines, stars = line_masks(ms, cells)
+    sets = count_sets((1 << len(cells)) - 1, q, lines, ms.r, stars.__getitem__)
     return sets * math.factorial(q)
 
 
@@ -161,7 +133,7 @@ def grid_census(ms: MoveSet, board: Board, n: int, q: int) -> Census:
         types = _keys_to_types([()] if cells else [], 1, ms.r)
         return Census(ms, q, "grid", types, False, {"n": n, "cells": len(cells)})
 
-    masks = _attack_masks(ms, cells)
+    _lines, masks = line_masks(ms, cells)
     # memoized cone lookup per relative displacement: board deltas repeat a lot
     cone_of: dict[tuple[int, int], int] = {}
 
@@ -420,18 +392,41 @@ def cache_key(kind: str, payload: dict) -> str:
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-def cache_load(cache_dir: str | Path | None, key: str) -> dict | None:
+def cache_load(cache_dir: str | os.PathLike | None, key: str) -> dict | None:
+    """The cached entry for `key`, or None on a miss.
+
+    An entry that does not parse as a JSON object counts as a miss and is
+    noted on stderr; the caller recomputes it and `cache_store` replaces it.
+    """
     if cache_dir is None:
         return None
-    path = Path(cache_dir) / f"{key}.json"
-    if not path.exists():
+    path = os.path.join(cache_dir, f"{key}.json")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except FileNotFoundError:
         return None
-    return json.loads(path.read_text())
+    except ValueError:  # bad JSON or bad UTF-8
+        data = None
+    if not isinstance(data, dict):
+        print(f"cache entry {path} does not parse; recomputing", file=sys.stderr)
+        return None
+    return data
 
 
-def cache_store(cache_dir: str | Path | None, key: str, data: dict) -> None:
+def cache_store(cache_dir: str | os.PathLike | None, key: str, data: dict) -> None:
+    """Write the entry atomically: a temporary file in the cache directory,
+    then `os.replace`, so a reader never sees a partly written entry."""
     if cache_dir is None:
         return
-    path = Path(cache_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    (path / f"{key}.json").write_text(json.dumps(data, sort_keys=True))
+    os.makedirs(cache_dir, exist_ok=True)
+    path = os.path.join(cache_dir, f"{key}.json")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(data, sort_keys=True))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

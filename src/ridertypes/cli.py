@@ -104,8 +104,9 @@ def _ff_prime_counts(ms: MoveSet, q: int, primes: list[int],
             counts[p] = int(hit["count"])
         else:
             missing.append(p)
-    if threads > 1 and len(missing) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(missing), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = pool.map(_torus_worker, [(str(ms), q, p) for p in missing])
             for p, count in zip(missing, results):
                 counts[p] = count
@@ -368,8 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--cache-dir", default=os.environ.get("RIDERTYPES_CACHE"),
                         help="content-addressed result cache directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallel workers for per-prime counts")
+    parser.add_argument("--threads", type=_positive_int, default=1,
+                        help="parallel workers for per-prime counts (at most "
+                             "one per prime and per CPU)")
     parser.add_argument("-o", "--output", default=None,
                         help="write the JSON report to a file instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -424,6 +426,16 @@ def build_parser() -> argparse.ArgumentParser:
                        default="unlabelled")
     p_fit.set_defaults(func=cmd_fit)
     return parser
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need a value >= 1, got {value}")
+    return value
 
 
 def _parse_range(text: str) -> tuple[int, int]:

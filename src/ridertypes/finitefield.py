@@ -14,9 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .geometry import GeometryError, MoveSet
+from .placement import count_sets, torus_line_masks
+
+# Largest prime the engine counts over.  `torus_count` holds p line masks of
+# p^2 bits for each of the r moves, r * p^3 bits in all: under 13 MB for
+# r <= 6 at p = 257.  A floor above it is rejected before any prime search.
+MAX_PRIME = 257
 
 
 class ExceptionalPrimeError(RuntimeError):
@@ -63,31 +68,29 @@ def valid_prime(ms: MoveSet, p: int) -> bool:
 
 
 def valid_primes_from(ms: MoveSet, floor: int, count: int) -> list[int]:
+    """The `count` smallest valid primes >= floor, none above MAX_PRIME."""
+    if floor > MAX_PRIME:
+        raise GeometryError(f"prime floor {floor} exceeds MAX_PRIME = {MAX_PRIME}")
     primes = []
     p = max(2, floor)
     while len(primes) < count:
         p = next_prime(p)
+        if p > MAX_PRIME:
+            raise GeometryError(
+                f"only {len(primes)} of {count} valid primes from {floor} "
+                f"lie below MAX_PRIME = {MAX_PRIME}"
+            )
         if valid_prime(ms, p):
             primes.append(p)
         p += 1
     return primes
 
 
-@lru_cache(maxsize=None)
-def _inverses(p: int) -> tuple[int, ...]:
-    inv = [0] * p
-    inv[1] = 1
-    for i in range(2, p):
-        inv[i] = (p - (p // i) * inv[p % i]) % p
-    return tuple(inv)
-
-
 def _normalize_line(p: int, line: tuple[int, int, int]) -> tuple[int, int, int]:
     a, b, c = line[0] % p, line[1] % p, line[2] % p
     if a == 0 and b == 0:
         raise GeometryError("degenerate line 0*x + 0*y = c")
-    inv = _inverses(p)
-    lead = inv[a] if a != 0 else inv[b]
+    lead = pow(a if a != 0 else b, -1, p)
     return (a * lead % p, b * lead % p, c * lead % p)
 
 
@@ -102,7 +105,6 @@ def last_level_count(p: int, lines: list[tuple[int, int, int]]) -> int:
     normalized = [_normalize_line(p, ln) for ln in lines]
     if len(set(normalized)) != len(normalized):
         raise GeometryError("duplicate lines mod p")
-    inv = _inverses(p)
     union = 0
     for i, (a1, b1, c1) in enumerate(normalized):
         seen = set()
@@ -110,7 +112,7 @@ def last_level_count(p: int, lines: list[tuple[int, int, int]]) -> int:
             det = (a1 * b2 - a2 * b1) % p
             if det == 0:
                 continue
-            dinv = inv[det]
+            dinv = pow(det, -1, p)
             x = (c1 * b2 - c2 * b1) * dinv % p
             y = (a1 * c2 - a2 * c1) * dinv % p
             seen.add((x, y))
@@ -124,11 +126,6 @@ class PrimeCount:
     count: int
 
 
-def _move_coeffs(ms: MoveSet, p: int) -> list[tuple[int, int]]:
-    # line through (u, v) with move (c, d): d*x - c*y = d*u - c*v
-    return [(m.d % p, (-m.c) % p) for m in ms.moves]
-
-
 def torus_count(ms: MoveSet, q: int, p: int) -> PrimeCount:
     """Number of ordered q-tuples over F_p x F_p with no piece on a move line
     of another.
@@ -137,46 +134,29 @@ def torus_count(ms: MoveSet, q: int, p: int) -> PrimeCount:
     and piece 2 runs over scaling-orbit representatives, one per direction of
     the projective line (factor p - 1): the attack conditions are homogeneous,
     so simultaneous scaling is a free symmetry once piece 1 is at the origin.
-    The final piece is counted algebraically by `last_level_count`.
+    Pieces 3..q are counted as sets by the bitmask core of `placement` (each
+    set stands for (q - 2)! orderings), the last two of them in closed form.
+    Cell (x, y) is bit x*p + y, and each move (c, d) has p lines, keyed by
+    d*x - c*y mod p.
     """
     if q < 1:
         raise GeometryError("need q >= 1")
+    if p > MAX_PRIME:
+        raise GeometryError(f"prime {p} exceeds MAX_PRIME = {MAX_PRIME}")
     if not valid_prime(ms, p):
         raise GeometryError(f"{p} is not a valid prime for move set {ms}")
     if q == 1:
         return PrimeCount(p, p * p)
 
-    coeffs = _move_coeffs(ms, p)
-    lines_origin = [(a, b, 0) for a, b in coeffs]
-
-    # projective representatives (1, t) and (0, 1), minus move directions
-    reps = []
-    for t in range(p):
-        if all((a + b * t) % p for a, b in coeffs):
-            reps.append((1, t))
-    if all(b % p for a, b in coeffs):
-        reps.append((0, 1))
-
-    def piece_lines(x: int, y: int) -> list[tuple[int, int, int]]:
-        return [(a, b, (a * x + b * y) % p) for a, b in coeffs]
-
-    def completions(lines: list[tuple[int, int, int]], remaining: int) -> int:
-        if remaining == 0:
-            return 1
-        if remaining == 1:
-            return last_level_count(p, lines)
-        total = 0
-        for x in range(p):
-            for y in range(p):
-                if any((a * x + b * y - c) % p == 0 for a, b, c in lines):
-                    continue
-                total += completions(lines + piece_lines(x, y), remaining - 1)
-        return total
-
-    subtotal = 0
-    for x2, y2 in reps:
-        subtotal += completions(lines_origin + piece_lines(x2, y2), q - 2)
-    count = p * p * (p - 1) * subtotal
+    lines, star = torus_line_masks(ms, p)
+    avail = ((1 << (p * p)) - 1) & ~star(0)
+    # representatives (0, 1) and (1, t) of the directions; those on a move
+    # line of the origin are not available
+    reps = [i for i in (1, *range(p, 2 * p)) if avail >> i & 1]
+    subtotal = sum(
+        count_sets(avail & ~star(i), q - 2, lines, ms.r, star) for i in reps
+    )
+    count = p * p * (p - 1) * math.factorial(q - 2) * subtotal
     assert count % (p * p) == 0 and count <= p ** (2 * q)
     return PrimeCount(p, count)
 
@@ -273,6 +253,8 @@ def ff_type_count(ms: MoveSet, q: int, prime_floor: int = 11,
     """
     if q < 1:
         raise GeometryError("need q >= 1")
+    if attempts < 1:
+        raise GeometryError("need attempts >= 1")
     floor = prime_floor
     counts = dict(counts or {})
     last_error: ExceptionalPrimeError | None = None

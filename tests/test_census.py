@@ -59,7 +59,7 @@ def test_count_single_piece_is_cell_count():
 def test_count_against_brute_force_matrix():
     for ms in (ROOK, SEMIQUEEN, QUEEN, NIGHTRIDER):
         for n in (2, 3, 4):
-            for q in (2, 3):
+            for q in (2, 3, 4):
                 assert count_nonattacking(ms, SQUARE, n, q) == \
                     brute_force_labelled(ms, SQUARE, n, q)
     assert count_nonattacking(SEMIQUEEN, TRIANGLE, 5, 2) == \

@@ -3,7 +3,10 @@ from __future__ import annotations
 import itertools
 import json
 
-from ridertypes.cli import main
+from ridertypes import cli, finitefield
+from ridertypes.cli import PIECES, main
+from ridertypes.finitefield import valid_primes_from
+from ridertypes.geometry import parse_moves
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +70,76 @@ def test_types_cache_round_trip(tmp_path, capsys):
     assert code2 == 0
     assert json.loads(out2)["unlabelled"] == json.loads(out1)["unlabelled"]
     assert "cache hit" in err2
+
+
+def test_corrupt_cache_entries_are_recomputed(tmp_path, capsys):
+    args = ("--cache-dir", str(tmp_path), "types", "--moves", "trident",
+            "--q", "2", "--engine", "ff")
+    code1, out1, _ = run_cli(capsys, *args)
+    assert code1 == 0
+    entries = sorted(tmp_path.iterdir())
+    assert len(entries) == 7 and all(e.suffix == ".json" for e in entries)
+    entries[0].write_text('{"count": 12')  # cut short
+    entries[1].write_bytes(b"\xff\xfe")  # not UTF-8
+    entries[2].write_text("[1, 2]")  # not an object
+    code2, out2, err2 = run_cli(capsys, *args)
+    assert code2 == 0
+    assert out2 == out1
+    assert err2.count("does not parse") == 3
+    assert "Traceback" not in err2
+    assert sorted(tmp_path.iterdir()) == entries  # no temporary files left
+    for entry in entries[:3]:
+        assert json.loads(entry.read_text())["count"] > 0
+
+
+def test_threads_below_one_rejected(capsys):
+    for value in ("0", "-2"):
+        code, out, err = run_cli(capsys, "--threads", value, "types",
+                                 "--moves", "rook", "--q", "2")
+        assert code == 2
+        assert out == ""
+        assert "--threads" in err
+
+
+def test_worker_pool_is_capped(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    ms = parse_moves(PIECES["trident"])
+    primes = valid_primes_from(ms, 11, 5)
+    serial = cli._ff_prime_counts(ms, 2, primes, 1, None)
+    for cpus, threads, expected in ((3, 64, [3]), (64, 64, [5]), (64, 2, [2]),
+                                    (1, 8, []), (None, 8, [])):
+        sizes.clear()
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert cli._ff_prime_counts(ms, 2, primes, threads, None) == serial
+        assert sizes == expected, (cpus, threads)
+
+
+def test_prime_floor_above_ceiling(capsys, monkeypatch):
+    def no_search(n):
+        raise AssertionError("prime search ran")
+
+    monkeypatch.setattr(finitefield, "next_prime", no_search)
+    code, out, err = run_cli(capsys, "types", "--moves", "queen", "--q", "3",
+                             "--prime-floor", "100000000000")
+    assert code == 2
+    assert out == ""
+    assert "MAX_PRIME" in err
+    assert "Traceback" not in err
 
 
 def test_count_single_queen(capsys):

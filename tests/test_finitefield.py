@@ -9,6 +9,7 @@ import pytest
 from oracles import naive_torus_count, naive_uncovered, random_line_set
 
 from ridertypes.finitefield import (
+    MAX_PRIME,
     CharPoly,
     ExceptionalPrimeError,
     char_poly,
@@ -21,7 +22,7 @@ from ridertypes.finitefield import (
     valid_prime,
     valid_primes_from,
 )
-from ridertypes.formulas import t3_closed_form
+from ridertypes.formulas import known_types, t3_closed_form
 from ridertypes.geometry import GeometryError, parse_moves
 
 QUEEN = parse_moves("1,0;0,1;1,1;1,-1")
@@ -70,6 +71,7 @@ def test_torus_count_matches_naive_oracle():
         (TRIDENT, 2, 5), (TRIDENT, 3, 5), (TRIDENT, 3, 7),
         (QUEEN, 2, 5), (QUEEN, 3, 5), (QUEEN, 3, 7),
         (NIGHTRIDER, 2, 7), (NIGHTRIDER, 3, 7),
+        (TRIDENT, 4, 5), (TRIDENT, 4, 7), (QUEEN, 4, 5), (QUEEN, 4, 7),
     ]
     for ms, q, p in cases:
         assert valid_prime(ms, p)
@@ -86,6 +88,16 @@ def test_torus_count_divisibility_and_bound():
 def test_torus_count_invalid_prime_rejected():
     with pytest.raises(GeometryError):
         torus_count(QUEEN, 2, 2)
+
+
+def test_prime_ceiling():
+    assert valid_primes_from(QUEEN, MAX_PRIME - 20, 2) == [239, 241]
+    with pytest.raises(GeometryError):
+        valid_primes_from(QUEEN, 10**11, 2)  # rejected before any prime search
+    with pytest.raises(GeometryError):
+        valid_primes_from(QUEEN, MAX_PRIME - 20, 5)  # the search would pass it
+    with pytest.raises(GeometryError):
+        torus_count(QUEEN, 2, next_prime(MAX_PRIME + 1))
 
 
 def test_last_level_single_line():
@@ -172,6 +184,18 @@ def test_ff_type_count_report():
     assert len(result.prime_counts) == 7
     for pc in result.prime_counts:
         assert result.poly(pc.p) == pc.count
+
+
+def test_ff_type_count_needs_an_attempt():
+    with pytest.raises(GeometryError, match="attempts"):
+        ff_type_count(QUEEN, 2, attempts=0)
+
+
+def test_ff_semiqueen_q5_matches_golden():
+    # the first case past the closed forms that the ff engine computes
+    result = ff_type_count(SEMIQUEEN, 5)
+    assert result.unlabelled == known_types(5, 3)[0] == 1899
+    assert result.labelled == 120 * 1899
 
 
 def test_ff_accepts_precomputed_counts():

@@ -1,0 +1,80 @@
+"""The bitmask placement core's closed-form pair count against brute force
+on random cell sets of tori and boards."""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+from ridertypes.boards import SQUARE, TRIANGLE, lattice_points
+from ridertypes.finitefield import valid_prime
+from ridertypes.geometry import parse_moves
+from ridertypes.placement import line_masks, pair_count, torus_line_masks
+
+MOVESETS = [parse_moves(text) for text in (
+    "1,0",
+    "1,0;0,1",
+    "0,1;1,1;1,-1",
+    "1,0;0,1;1,1;1,-1",
+    "1,2;2,1;1,-2;2,-1",
+    "1,0;0,1;1,1;1,-1;1,2;2,1",
+)]
+
+
+def brute_pairs(ms, cells, modulus: int = 0) -> int:
+    """Ordered pairs of distinct cells on no common move line."""
+    def attacks(a, b):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        if modulus:
+            return any((m.c * dy - m.d * dx) % modulus == 0 for m in ms.moves)
+        return any(m.c * dy - m.d * dx == 0 for m in ms.moves)
+
+    return sum(1 for a, b in itertools.permutations(cells, 2) if not attacks(a, b))
+
+
+def check_random_subsets(rng, ms, cells, lines, modulus=0, trials=6):
+    for _ in range(trials):
+        density = rng.random()
+        chosen = [i for i in range(len(cells)) if rng.random() < density]
+        avail = sum(1 << i for i in chosen)
+        assert pair_count(avail, lines, ms.r) == \
+            brute_pairs(ms, [cells[i] for i in chosen], modulus), (ms, modulus, chosen)
+
+
+def test_pair_count_on_torus_subsets():
+    rng = random.Random(2718)
+    for ms in MOVESETS:
+        for p in (5, 7, 11, 13):
+            if not valid_prime(ms, p):
+                continue
+            cells = [(x, y) for x in range(p) for y in range(p)]
+            lines, _star = torus_line_masks(ms, p)
+            check_random_subsets(rng, ms, cells, lines, p)
+
+
+def test_pair_count_on_board_subsets():
+    rng = random.Random(1618)
+    for ms in MOVESETS:
+        for board in (SQUARE, TRIANGLE):
+            for n in (1, 2, 4, 7):
+                cells = lattice_points(board, n).cells
+                lines, _stars = line_masks(ms, cells)
+                check_random_subsets(rng, ms, cells, lines)
+
+
+def test_torus_lines_and_stars():
+    # every line has p cells, the lines of one move partition the torus, and
+    # each star is the cell plus the cells it attacks
+    for ms in MOVESETS + [parse_moves("0,1;3,1;1,-5")]:
+        for p in (5, 7, 11):
+            if not valid_prime(ms, p):
+                continue
+            lines, star = torus_line_masks(ms, p)
+            assert len(lines) == ms.r * p
+            for j in range(ms.r):
+                assert sum(lines[j * p:(j + 1) * p]) == (1 << (p * p)) - 1
+            cells = [(x, y) for x in range(p) for y in range(p)]
+            for i, cell in enumerate(cells):
+                want = sum(1 << k for k, other in enumerate(cells)
+                           if other == cell or brute_pairs(ms, [cell, other], p) == 0)
+                assert star(i) == want, (ms, p, cell)
