@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .geometry import GeometryError, Point, parse_rational, point
 
@@ -64,19 +63,31 @@ class LatticeBoard:
 
 
 def lattice_points(board: Board, n: int) -> LatticeBoard:
-    """Integer points strictly inside (n+1) * board, in lexicographic order."""
+    """Integer points strictly inside (n+1) * board, in lexicographic order.
+
+    Runs the strict edge tests of `contains_open` in integers.  Scaled by
+    the common denominator den of the vertex coordinates, the vertices are
+    integer points A, B, ...; for edge A -> B with (ex, ey) = B - A, den**2
+    times the cross product at (x, y) is
+    den*(ex*y - ey*x) + scale*(ey*Ax - ex*Ay).
+    """
     if n < 1:
         raise GeometryError("board order n must be >= 1")
     scale = n + 1
-    min_x = min(v.x for v in board.vertices) * scale
-    max_x = max(v.x for v in board.vertices) * scale
-    min_y = min(v.y for v in board.vertices) * scale
-    max_y = max(v.y for v in board.vertices) * scale
-    cells = []
-    for x in range(math.floor(min_x), math.ceil(max_x) + 1):
-        for y in range(math.floor(min_y), math.ceil(max_y) + 1):
-            if contains_open(board, scale, Point(Fraction(x), Fraction(y))):
-                cells.append((x, y))
+    den = math.lcm(*(c.denominator for v in board.vertices for c in (v.x, v.y)))
+    verts = [(int(v.x * den), int(v.y * den)) for v in board.vertices]
+    edges = []
+    for (ax, ay), (bx, by) in zip(verts, verts[1:] + verts[:1]):
+        ex, ey = bx - ax, by - ay
+        edges.append((ex * den, ey * den, scale * (ey * ax - ex * ay)))
+    xs = [x for x, _ in verts]
+    ys = [y for _, y in verts]
+    cells = [
+        (x, y)
+        for x in range(scale * min(xs) // den, -(-scale * max(xs) // den) + 1)
+        for y in range(scale * min(ys) // den, -(-scale * max(ys) // den) + 1)
+        if all(e * y - f * x + g > 0 for e, f, g in edges)
+    ]
     return LatticeBoard(board, n, tuple(cells))
 
 

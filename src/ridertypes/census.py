@@ -18,7 +18,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .boards import Board, lattice_points
 from .geometry import (
@@ -40,11 +40,13 @@ from .signature import (
     LabelledType,
     UnlabelledType,
     canonical_unlabelled,
+    cone_of,
+    cone_of_pattern,
     labelled_type,
     orbit_size,
+    region_numbering,
     type_from_dict,
     type_to_dict,
-    _ray_order,
 )
 
 
@@ -100,18 +102,6 @@ def count_nonattacking(ms: MoveSet, board: Board, n: int, q: int) -> int:
     return sets * math.factorial(q)
 
 
-def _cone_of_int(rays: Sequence[tuple[int, int]], dx: int, dy: int) -> int:
-    # index of the cone containing integer direction (dx, dy); assumes the
-    # direction is parallel to no ray (checked upstream by the attack masks)
-    h = 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-    count = 0
-    for rx, ry in rays:
-        rh = 0 if (ry > 0 or (ry == 0 and rx > 0)) else 1
-        if rh < h or (rh == h and rx * dy - ry * dx > 0):
-            count += 1
-    return count if count >= 1 else len(rays)
-
-
 def _keys_to_types(keys: Iterable[tuple[int, ...]], q: int, r: int) -> frozenset[UnlabelledType]:
     pairs = [(i, k) for i in range(1, q + 1) for k in range(1, q + 1) if i != k]
     out = set()
@@ -126,7 +116,7 @@ def grid_census(ms: MoveSet, board: Board, n: int, q: int) -> Census:
     if q < 1 or n < 1:
         raise GeometryError("need q >= 1 and n >= 1")
     cells = lattice_points(board, n).cells
-    rays = [(m.c, m.d) for m in _ray_order(ms.moves)]
+    rays = [(m.c, m.d) for m in region_numbering(ms)]
     pairs = [(i, k) for i in range(q) for k in range(q) if i != k]
 
     if q == 1:
@@ -135,13 +125,12 @@ def grid_census(ms: MoveSet, board: Board, n: int, q: int) -> Census:
 
     _lines, masks = line_masks(ms, cells)
     # memoized cone lookup per relative displacement: board deltas repeat a lot
-    cone_of: dict[tuple[int, int], int] = {}
+    seen: dict[tuple[int, int], int] = {}
 
     def cone(dx: int, dy: int) -> int:
-        region = cone_of.get((dx, dy))
+        region = seen.get((dx, dy))
         if region is None:
-            region = _cone_of_int(rays, dx, dy)
-            cone_of[(dx, dy)] = region
+            region = seen[(dx, dy)] = cone_of(rays, dx, dy)
         return region
 
     keys: set[tuple[int, ...]] = set()
@@ -228,28 +217,47 @@ def geometric_census(ms: MoveSet, q: int, refinement: int = 1) -> Census:
     Exact for q <= 3 (one representative per region suffices there); for
     q >= 4 the census is a lower bound that grows monotonically with
     `refinement` (extra sample points per region).
+
+    Types are read off the sign vectors, with no cone computation.  The
+    arrangement of pieces 1..k holds the r move lines of piece i at positions
+    (i-1)*r .. i*r - 1, so that slice of a region's sign vector is the side
+    of the new piece on each move line of piece i: its T2 pattern, which
+    `cone_of_pattern` turns into the cone index g of the pair (i, new); the
+    pair (new, i) gets the antipodal cone (g + r - 1) mod 2r + 1.
+    No attack check is needed: `region_sample_points` drops every point that
+    lies on a line of the arrangement, so the new piece is on no move line of
+    an earlier piece, hence attacks none of them (attacking is symmetric) and
+    sits on none of them.  Every type is still built through `LabelledType`,
+    whose coverage and antipodal checks run on it.
     """
     if q < 1 or refinement < 1:
         raise GeometryError("need q >= 1 and refinement >= 1")
-    partials: list[tuple[Point, ...]] = [(ORIGIN,)]
-    for _ in range(q - 1):
+    r = ms.r
+    index_of = cone_of_pattern(ms.moves)
+    pairs = [(i, k) for i in range(1, q + 1) for k in range(1, q + 1) if i != k]
+    # (pieces, {(i, k): cone index}), pieces labelled 1, 2, ... in order
+    level: list[tuple[tuple[Point, ...], dict]] = [((ORIGIN,), {})]
+    keys = {()} if q == 1 else set()
+    placements = 1 if q == 1 else 0
+    for new in range(2, q + 1):
         extended = []
-        for cfg in partials:
+        for cfg, cones in level:
             arr = configuration_arrangement(ms, cfg)
-            for pts in region_sample_points(arr, refinement).values():
-                for p in pts:
-                    extended.append(cfg + (p,))
-        partials = extended
-    keys = set()
-    full_types = set()
-    for cfg in partials:
-        t = labelled_type(ms, Config(cfg))
-        if t.key() not in keys:
-            keys.add(t.key())
-            full_types.add(canonical_unlabelled(t))
+            for sv, pts in region_sample_points(arr, refinement).items():
+                grown = dict(cones)
+                for i in range(1, new):
+                    g = index_of[sv[(i - 1) * r:i * r]]
+                    grown[(i, new)] = g
+                    grown[(new, i)] = (g + r - 1) % (2 * r) + 1
+                if new < q:
+                    extended.extend((cfg + (p,), grown) for p in pts)
+                else:
+                    keys.add(tuple(grown[pair] for pair in pairs))
+                    placements += len(pts)
+        level = extended
     return Census(
-        ms, q, "geometric", frozenset(full_types), q <= 3,
-        {"refinement": refinement, "placements": len(partials)},
+        ms, q, "geometric", _keys_to_types(keys, q, r), q <= 3,
+        {"refinement": refinement, "placements": placements},
     )
 
 

@@ -56,6 +56,15 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _read_text(path: str) -> str | None:
+    """The file's text, or None after logging why it cannot be read."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        _log(f"cannot read {path}: {exc}")
+        return None
+
+
 def _emit(report: dict, output: str | None) -> None:
     text = json.dumps(report, sort_keys=True, indent=2)
     if output:
@@ -206,6 +215,9 @@ def cmd_count(args) -> int:
     else:
         lo, hi = args.n_range
         orders = list(range(lo, hi + 1))
+    bfile_text = _read_text(args.bfile) if args.bfile else None
+    if args.bfile and bfile_text is None:
+        return EXIT_USAGE
     rows = []
     for n in orders:
         labelled = count_nonattacking(ms, board, n, args.q)
@@ -218,7 +230,7 @@ def cmd_count(args) -> int:
     }
     exit_code = EXIT_OK
     if args.bfile:
-        data = parse_bfile(Path(args.bfile).read_text())
+        data = parse_bfile(bfile_text)
         reference = dict(data)
         comparisons = []
         for row in rows:
@@ -328,10 +340,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    try:
-        text = Path(args.data).read_text()
-    except OSError as exc:
-        _log(f"cannot read {args.data}: {exc}")
+    text = _read_text(args.data)
+    if text is None:
         return EXIT_USAGE
     data = parse_bfile(text)
     degree = args.degree if args.degree is not None else 2 * args.q

@@ -1,8 +1,10 @@
 """Exact rational planar geometry for rider move-line arrangements.
 
-Everything here is computed over Q with `fractions.Fraction`; there is no
-floating point anywhere in this module.  The orientation convention is fixed
-once and for all: walking along a line's direction vector, Left is the
+Everything here is computed over Q with `fractions.Fraction`, or in
+integers: the slab sampler puts the ordinates at each sample abscissa over
+one common denominator and sorts and side-tests their numerators.  There is
+no floating point anywhere in this module.  The orientation convention is
+fixed once and for all: walking along a line's direction vector, Left is the
 counterclockwise (positive cross product) side.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 
@@ -272,16 +274,32 @@ def sign_vector(arr: LineArrangement, p: Point) -> tuple[Side, ...]:
     return tuple(side_of(ln, p) for ln in arr.lines)
 
 
-def _int_sign_vector(coeffs, nx: int, ny: int, den: int) -> tuple[Side, ...]:
-    # Point is (nx/den, ny/den); sign test is pure integer arithmetic.
-    out = []
-    for a, b, c in coeffs:
-        v = a * nx + b * ny - c * den
-        out.append(Side.LEFT if v < 0 else Side.RIGHT if v > 0 else Side.ON)
-    return tuple(out)
+def _x_breakpoints(coeffs: Sequence[tuple[int, int, int]]) -> list[Fraction]:
+    # abscissas of the vertical lines and of every crossing (Cramer's rule)
+    xs = set()
+    for i, (a1, b1, c1) in enumerate(coeffs):
+        if b1 == 0:
+            xs.add(Fraction(c1, a1))
+        for a2, b2, c2 in coeffs[i + 1:]:
+            det = a1 * b2 - a2 * b1
+            if det:
+                xs.add(Fraction(c1 * b2 - c2 * b1, det))
+    return sorted(xs)
 
 
-def _slab_candidates(arr: LineArrangement, split: Fraction, margin: int) -> list[Point]:
+def _gaps(values: Sequence, u: int, v: int, reach) -> list:
+    # v times: the point at fraction u/v of each gap between the sorted
+    # values, and reach/v beyond both ends
+    inner = [lo * v + (hi - lo) * u for lo, hi in zip(values, values[1:])]
+    return [values[0] * v - reach, *inner, values[-1] * v + reach]
+
+
+def _slab_candidates(
+    coeffs: Sequence[tuple[int, int, int]],
+    breaks: Sequence[Fraction],
+    split: Fraction,
+    margin: int,
+) -> list[tuple[Fraction, int, list[int]]]:
     """Candidate interior points, at least one per region (slab method).
 
     Sample abscissas are taken strictly between consecutive x-breakpoints
@@ -289,40 +307,26 @@ def _slab_candidates(arr: LineArrangement, split: Fraction, margin: int) -> list
     extremes; on each sample vertical line, ordinates sit strictly between
     consecutive crossings with the non-vertical lines and beyond both ends.
     `split` picks where inside each gap, `margin` how far past the extremes.
+
+    Returns (abscissa, den, numerators): the candidates at that abscissa are
+    (abscissa, Y / den) for Y in numerators.  At x = a/b a non-vertical line
+    A*x + B*y = C has ordinate (C*b - A*a) / (b*B), so over the common
+    denominator E = b * lcm|B| every ordinate, and with split = u/v every
+    gap point lo*v + (hi - lo)*u over E*v, is an integer.
     """
-    verticals = [ln for ln in arr.lines if ln.direction.c == 0]
-    others = [ln for ln in arr.lines if ln.direction.c != 0]
-
-    xs = {ln.anchor.x for ln in verticals}
-    for pt in _intersection_multiplicities(arr):
-        xs.add(pt.x)
-    breaks = sorted(xs)
-
-    if breaks:
-        abscissas = [breaks[0] - margin]
-        for lo, hi in zip(breaks, breaks[1:]):
-            abscissas.append(lo + (hi - lo) * split)
-        abscissas.append(breaks[-1] + margin)
-    else:
-        abscissas = [Fraction(0)]
-
-    candidates = []
+    others = [(a, b, c) for a, b, c in coeffs if b != 0]
+    lcm_b = lcm(*(abs(b) for _, b, _ in others))
+    u, v = split.numerator, split.denominator
+    abscissas = [x / v for x in _gaps(breaks, u, v, margin * v)] if breaks else [Fraction(0)]
+    out = []
     for ax in abscissas:
-        ys = set()
-        for ln in others:
-            # y on the line at x = ax: d*(x - x0) = c*(y - y0)
-            c, d = ln.direction.c, ln.direction.d
-            ys.add(ln.anchor.y + Fraction(d * (ax - ln.anchor.x), c))
-        ybreaks = sorted(ys)
-        if ybreaks:
-            ords = [ybreaks[0] - margin]
-            for lo, hi in zip(ybreaks, ybreaks[1:]):
-                ords.append(lo + (hi - lo) * split)
-            ords.append(ybreaks[-1] + margin)
+        xa, xb = ax.numerator, ax.denominator
+        ys = sorted({(c * xb - a * xa) * (lcm_b // b) for a, b, c in others})
+        if ys:
+            out.append((ax, xb * lcm_b * v, _gaps(ys, u, v, margin * xb * lcm_b * v)))
         else:
-            ords = [Fraction(0)]
-        candidates.extend(Point(ax, y) for y in ords)
-    return candidates
+            out.append((ax, 1, [0]))
+    return out
 
 
 _SPLITS = [
@@ -337,23 +341,44 @@ def region_sample_points(arr: LineArrangement, samples: int = 1) -> dict[tuple, 
     One slab pass guarantees at least one point in every region; further
     passes with different split fractions and margins enlarge each region's
     sample list (duplicates removed, capped at `samples` per region).
+
+    A candidate on any line is dropped, so every returned point lies on none
+    of the arrangement's lines and its sign vector holds no `Side.ON`.
     """
     if samples < 1:
         raise GeometryError("samples must be >= 1")
     coeffs = [ln.int_coefficients() for ln in arr.lines]
-    regions: dict[tuple, list[Point]] = {}
+    breaks = _x_breakpoints(coeffs)
+    # regions keyed by a bitmask of the lines the point is Right of; a kept
+    # candidate is (abscissa, Y, den) until the end
+    found: dict[int, list[tuple[Fraction, int, int]]] = {}
     for pass_no in range(samples):
         split = _SPLITS[pass_no % len(_SPLITS)]
-        margin = 1 + pass_no
-        for cand in _slab_candidates(arr, split, margin):
-            dx, dy = cand.x.denominator, cand.y.denominator
-            sv = _int_sign_vector(coeffs, cand.x.numerator * dy, cand.y.numerator * dx, dx * dy)
-            if Side.ON in sv:
-                continue
-            bucket = regions.setdefault(sv, [])
-            if len(bucket) < samples and cand not in bucket:
-                bucket.append(cand)
-    return regions
+        for ax, den, ords in _slab_candidates(coeffs, breaks, split, 1 + pass_no):
+            xa, xb = ax.numerator, ax.denominator
+            # sign of A*x + B*y - C at (xa/xb, Y/den), scaled by xb*den > 0
+            rows = [(1 << n, (a * xa - c * xb) * den, b * xb)
+                    for n, (a, b, c) in enumerate(coeffs)]
+            for y in ords:
+                key = 0
+                for bit, base, slope in rows:
+                    val = base + slope * y
+                    if val == 0:
+                        break
+                    if val > 0:
+                        key |= bit
+                else:
+                    bucket = found.setdefault(key, [])
+                    if len(bucket) < samples and all(
+                        ax != bx or y * bden != by * den for bx, by, bden in bucket
+                    ):
+                        bucket.append((ax, y, den))
+    sides = (Side.LEFT, Side.RIGHT)
+    return {
+        tuple(sides[key >> n & 1] for n in range(len(coeffs))):
+            [Point(ax, Fraction(y, den)) for ax, y, den in kept]
+        for key, kept in found.items()
+    }
 
 
 def region_representatives(arr: LineArrangement) -> list[Point]:

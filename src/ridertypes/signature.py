@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence
 
 from .geometry import BasicMove, GeometryError, MoveSet, Point, Side
@@ -41,32 +42,27 @@ class Config:
         return len(self.pieces)
 
 
-def _halfplane(v: tuple[int, int]) -> int:
-    # 0 for angle in [0, pi), 1 for [pi, 2*pi)
-    x, y = v
-    return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-
-def _angle_lt(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    ha, hb = _halfplane(a), _halfplane(b)
-    if ha != hb:
-        return ha < hb
-    return a[0] * b[1] - a[1] * b[0] > 0
+def cone_of(rays: Sequence[tuple[int, int]], dx: int, dy: int) -> int:
+    """Index 1..len(rays) of the open cone holding integer direction (dx, dy):
+    the number of `rays` (sorted as in `region_numbering`) at a smaller angle
+    in [0, 2*pi), with 0 read as the last cone.  (dx, dy) must be parallel to
+    no ray, except that a ray itself reads its rank, which `_ray_order` uses.
+    """
+    half = 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+    count = 0
+    for rx, ry in rays:
+        ray_half = 0 if (ry > 0 or (ry == 0 and rx > 0)) else 1
+        if ray_half < half or (ray_half == half and rx * dy - ry * dx > 0):
+            count += 1
+    return count or len(rays)
 
 
 @lru_cache(maxsize=None)
 def _ray_order(moves: tuple[BasicMove, ...]) -> tuple[BasicMove, ...]:
     rays = [m for m in moves] + [m.negated() for m in moves]
-    # insertion sort with the exact angular comparator; 2r stays tiny
-    ordered: list[BasicMove] = []
-    for ray in rays:
-        pos = 0
-        while pos < len(ordered) and _angle_lt(
-            (ordered[pos].c, ordered[pos].d), (ray.c, ray.d)
-        ):
-            pos += 1
-        ordered.insert(pos, ray)
-    return tuple(ordered)
+    pairs = [(m.c, m.d) for m in rays]
+    # a ray's count of rays below it is its rank; the first ray reads len(rays)
+    return tuple(sorted(rays, key=lambda m: cone_of(pairs, m.c, m.d) % len(rays)))
 
 
 def region_numbering(ms: MoveSet) -> tuple[BasicMove, ...]:
@@ -81,13 +77,12 @@ def cone_index(ms: MoveSet, v: tuple[Fraction, Fraction]) -> int:
 
     Exact: v must not be parallel to any move (raises AttackError otherwise).
     """
-    num = (v[0].numerator * v[1].denominator, v[1].numerator * v[0].denominator)
+    dx = v[0].numerator * v[1].denominator
+    dy = v[1].numerator * v[0].denominator
     for j, m in enumerate(ms.moves, start=1):
-        if m.c * num[1] - m.d * num[0] == 0:
+        if m.c * dy - m.d * dx == 0:
             raise AttackError(f"direction {v} lies on move line {j} (slope of {m})")
-    rays = _ray_order(ms.moves)
-    count = sum(1 for ray in rays if _angle_lt((ray.c, ray.d), num))
-    return count if count >= 1 else 2 * len(ms.moves)
+    return cone_of([(ray.c, ray.d) for ray in _ray_order(ms.moves)], dx, dy)
 
 
 def _cone_interior(rays: Sequence[BasicMove], k: int) -> tuple[int, int]:
@@ -117,15 +112,14 @@ def _cone_side_patterns(moves: tuple[BasicMove, ...]) -> tuple[tuple[Side, ...],
     return tuple(patterns)
 
 
+def cone_of_pattern(moves: tuple[BasicMove, ...]) -> dict[tuple[Side, ...], int]:
+    """Inverse of `_cone_side_patterns`: region index of each side pattern."""
+    return {pattern: idx + 1 for idx, pattern in enumerate(_cone_side_patterns(moves))}
+
+
 def is_nonattacking(ms: MoveSet, cfg: Config) -> bool:
     """True iff no piece lies on a move line of another piece."""
-    for i in range(cfg.q):
-        for k in range(i + 1, cfg.q):
-            dx, dy = cfg.pieces[k] - cfg.pieces[i]
-            for m in ms.moves:
-                if m.c * dy - m.d * dx == 0:
-                    return False
-    return True
+    return attack_witness(ms, cfg) is None
 
 
 def attack_witness(ms: MoveSet, cfg: Config):
@@ -212,15 +206,25 @@ class UnlabelledType:
     canonical: LabelledType
 
 
+@lru_cache(maxsize=None)
+def _relabellings(q: int) -> tuple[tuple[tuple[int, ...], itemgetter], ...]:
+    # per permutation sigma of 1..q, a getter taking a key to the key of
+    # relabel(sigma): entry (i, k) reads the position of (sigma(i), sigma(k))
+    pairs = [(i, k) for i in range(1, q + 1) for k in range(1, q + 1) if i != k]
+    position = {pair: n for n, pair in enumerate(pairs)}
+    return tuple(
+        (sigma, itemgetter(*(position[(sigma[i - 1], sigma[k - 1])] for i, k in pairs)))
+        for sigma in itertools.permutations(range(1, q + 1))
+    )
+
+
 def canonical_unlabelled(t: LabelledType) -> UnlabelledType:
+    """Compares the q! relabelled keys, then builds only the minimum."""
     if t.q == 1:
         return UnlabelledType(t)
-    best = None
-    for sigma in itertools.permutations(range(1, t.q + 1)):
-        candidate = t.relabel(sigma)
-        if best is None or candidate.key() < best.key():
-            best = candidate
-    return UnlabelledType(best)
+    key = t.key()
+    _, best_sigma = min((getter(key), sigma) for sigma, getter in _relabellings(t.q))
+    return UnlabelledType(t.relabel(best_sigma))
 
 
 def orbit_size(u: UnlabelledType) -> int:
@@ -228,7 +232,8 @@ def orbit_size(u: UnlabelledType) -> int:
     t = u.canonical
     if t.q == 1:
         return 1
-    return len({t.relabel(s).key() for s in itertools.permutations(range(1, t.q + 1))})
+    key = t.key()
+    return len({getter(key) for _, getter in _relabellings(t.q)})
 
 
 @dataclass(frozen=True)
@@ -238,15 +243,14 @@ class T2Type:
     q: int
     r: int
     triples: tuple[tuple[int, int, int, Side], ...]  # (i, j, k, side), sorted
+    _sides: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "triples", tuple(sorted(self.triples)))
+        object.__setattr__(self, "_sides", {(i, j, k): side for i, j, k, side in self.triples})
 
     def side(self, i: int, j: int, k: int) -> Side:
-        for ti, tj, tk, side in self.triples:
-            if (ti, tj, tk) == (i, j, k):
-                return side
-        raise KeyError((i, j, k))
+        return self._sides[(i, j, k)]
 
 
 def t1_to_t2(t: LabelledType, ms: MoveSet) -> T2Type:
@@ -265,8 +269,7 @@ def t2_to_t1(t2: T2Type, ms: MoveSet) -> LabelledType:
     """Inverse conversion; raises if a side pattern matches no region."""
     if ms.r != t2.r:
         raise GeometryError("move set size does not match the type")
-    patterns = _cone_side_patterns(ms.moves)
-    index_of = {pattern: idx + 1 for idx, pattern in enumerate(patterns)}
+    index_of = cone_of_pattern(ms.moves)
     by_pair: dict[tuple[int, int], dict[int, Side]] = {}
     for i, j, k, side in t2.triples:
         by_pair.setdefault((i, k), {})[j] = side

@@ -9,9 +9,23 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 from ridertypes.boards import lattice_points
-from ridertypes.geometry import BasicMove, OrientedLine, arrangement, point
+from ridertypes.geometry import (
+    BasicMove,
+    ORIGIN,
+    OrientedLine,
+    Point,
+    Side,
+    arrangement,
+    configuration_arrangement,
+    intersect,
+    point,
+    region_sample_points,
+    sign_vector,
+)
+from ridertypes.signature import Config, canonical_unlabelled, labelled_type
 
 
 def brute_force_labelled(ms, board, n: int, q: int) -> int:
@@ -104,3 +118,75 @@ def random_arrangement(rng: random.Random):
             seen.add(key)
             lines.append(ln)
     return arrangement(lines)
+
+
+_SPLITS = [
+    Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 5),
+    Fraction(4, 5), Fraction(2, 7), Fraction(5, 7), Fraction(3, 11),
+]
+
+
+def _fraction_slab(arr, split: Fraction, margin: int) -> list:
+    # abscissas between and beyond the x-breakpoints (crossings and vertical
+    # lines); on each, ordinates between and beyond the lines' crossings
+    others = [ln for ln in arr.lines if ln.direction.c != 0]
+    xs = {ln.anchor.x for ln in arr.lines if ln.direction.c == 0}
+    for i, a in enumerate(arr.lines):
+        for b in arr.lines[i + 1:]:
+            pt = intersect(a, b)
+            if isinstance(pt, Point):
+                xs.add(pt.x)
+    breaks = sorted(xs)
+    if breaks:
+        abscissas = [breaks[0] - margin]
+        abscissas += [lo + (hi - lo) * split for lo, hi in zip(breaks, breaks[1:])]
+        abscissas.append(breaks[-1] + margin)
+    else:
+        abscissas = [Fraction(0)]
+    candidates = []
+    for ax in abscissas:
+        ybreaks = sorted({
+            ln.anchor.y + Fraction(ln.direction.d * (ax - ln.anchor.x), ln.direction.c)
+            for ln in others
+        })
+        if ybreaks:
+            ords = [ybreaks[0] - margin]
+            ords += [lo + (hi - lo) * split for lo, hi in zip(ybreaks, ybreaks[1:])]
+            ords.append(ybreaks[-1] + margin)
+        else:
+            ords = [Fraction(0)]
+        candidates.extend(Point(ax, y) for y in ords)
+    return candidates
+
+
+def fraction_region_sample_points(arr, samples: int = 1) -> dict:
+    """Reference slab sampler in `Fraction` arithmetic, with the split and
+    margin schedule of `region_sample_points`; sides come from `sign_vector`."""
+    regions: dict = {}
+    for pass_no in range(samples):
+        split = _SPLITS[pass_no % len(_SPLITS)]
+        for cand in _fraction_slab(arr, split, 1 + pass_no):
+            sv = sign_vector(arr, cand)
+            if Side.ON in sv:
+                continue
+            bucket = regions.setdefault(sv, [])
+            if len(bucket) < samples and cand not in bucket:
+                bucket.append(cand)
+    return regions
+
+
+def labelled_geometric_types(ms, q: int, refinement: int = 1):
+    """Geometric census by direct typing: every configuration that the
+    recursive region sampling reaches is typed with `labelled_type`.
+    Returns (set of unlabelled types, number of final configurations)."""
+    partials = [(ORIGIN,)]
+    for _ in range(q - 1):
+        partials = [
+            cfg + (p,)
+            for cfg in partials
+            for pts in region_sample_points(configuration_arrangement(ms, cfg),
+                                            refinement).values()
+            for p in pts
+        ]
+    types = {canonical_unlabelled(labelled_type(ms, Config(cfg))) for cfg in partials}
+    return types, len(partials)

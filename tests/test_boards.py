@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,22 @@ def test_cells_agree_with_contains_open():
                 for y in range(-1, n + 3):
                     inside = contains_open(board, n + 1, point(x, y))
                     assert ((x, y) in cells) == inside
+
+
+def test_cells_equal_contains_open_in_order():
+    rational = parse_board("poly:-1/2,0;5/2,-1/3;3,4/3;1/3,7/4")
+    for board in (SQUARE, TRIANGLE, rational):
+        xs = [v.x for v in board.vertices]
+        ys = [v.y for v in board.vertices]
+        for n in range(1, 13):
+            s = n + 1
+            want = tuple(
+                (x, y)
+                for x in range(math.floor(min(xs) * s), math.ceil(max(xs) * s) + 1)
+                for y in range(math.floor(min(ys) * s), math.ceil(max(ys) * s) + 1)
+                if contains_open(board, s, point(x, y))
+            )
+            assert lattice_points(board, n).cells == want
 
 
 def test_cell_counts_monotone():

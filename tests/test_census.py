@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 
-from oracles import brute_force_labelled
+from oracles import brute_force_labelled, labelled_geometric_types
 
 from ridertypes.boards import SQUARE, TRIANGLE
 from ridertypes.census import (
@@ -23,6 +23,7 @@ from ridertypes.census import (
     stabilized_census,
     _reachable_keys,
 )
+from ridertypes.cli import family_movesets
 from ridertypes.formulas import t3_closed_form
 from ridertypes.geometry import (
     configuration_arrangement,
@@ -137,6 +138,18 @@ def test_geometric_census_refinement_monotone():
     c1 = geometric_census(TRIDENT, 4, refinement=1)
     c2 = geometric_census(TRIDENT, 4, refinement=2)
     assert c1.types <= c2.types
+
+
+def test_geometric_census_matches_labelled_type_oracle():
+    # types read off sign vectors equal direct typing of every configuration
+    movesets = {str(ms): ms for r in range(1, 7) for ms in family_movesets(r)}
+    cases = [(ms, q) for ms in movesets.values() for q in (1, 2, 3)]
+    cases += [(TRIDENT, 4), (QUEEN, 4)]
+    for ms, q in cases:
+        census = geometric_census(ms, q)
+        types, placements = labelled_geometric_types(ms, q)
+        assert census.types == types, (str(ms), q)
+        assert census.metadata["placements"] == placements
 
 
 def test_labelled_equals_factorial_times_unlabelled():

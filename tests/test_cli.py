@@ -185,6 +185,15 @@ def test_count_bfile_mismatch_exit(tmp_path, capsys):
     assert [c["match"] for c in comparisons] == [True, True, False]
 
 
+def test_count_missing_bfile_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "absent.txt"
+    code, out, err = run_cli(capsys, "count", "--moves", "queen", "--q", "2",
+                             "--n", "3", "--bfile", str(missing))
+    assert code == 2
+    assert out == ""
+    assert "cannot read" in err and "Traceback" not in err
+
+
 def test_fit_two_queens(tmp_path, capsys):
     rows = [(n, brute_queen_pairs_unlabelled(n)) for n in range(1, 9)]
     data = tmp_path / "queens2.txt"

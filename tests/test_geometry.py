@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_arrangement
+from oracles import fraction_region_sample_points, random_arrangement
 
 from ridertypes.geometry import (
     BasicMove,
@@ -205,6 +205,18 @@ def test_generic_lines_formula():
             continue
         built += 1
         assert steiner_count(arrangement(lines)) == 1 + k + k * (k - 1) // 2
+
+
+def test_integer_slab_matches_fraction_reference():
+    # same regions in the same order, each with the same points in order
+    rng = random.Random(2024)
+    for n in range(330):
+        arr = random_arrangement(rng)
+        samples = 1 + n % 3
+        got = region_sample_points(arr, samples)
+        want = fraction_region_sample_points(arr, samples)
+        assert got == want
+        assert list(got) == list(want)
 
 
 def test_identity_map_fixes_everything():

@@ -19,6 +19,7 @@ from ridertypes.signature import (
     T2Type,
     canonical_unlabelled,
     cone_index,
+    cone_of,
     is_nonattacking,
     labelled_type,
     orbit_size,
@@ -65,6 +66,19 @@ def test_cone_antipodal_queen():
         k = cone_index(QUEEN, v)
         k_op = cone_index(QUEEN, (-v[0], -v[1]))
         assert k_op == (k + QUEEN.r - 1) % (2 * QUEEN.r) + 1
+
+
+def test_cone_of_matches_cone_index_and_ray_ranks():
+    rng = random.Random(17)
+    for ms in (ROOK, QUEEN, FIG1, parse_moves("3,1;5,-2;2,7;7,-3;1,9")):
+        rays = [(m.c, m.d) for m in region_numbering(ms)]
+        # each ray reads its 0-based rank; the first one wraps to the last cone
+        assert [cone_of(rays, x, y) for x, y in rays] == [2 * ms.r] + list(range(1, 2 * ms.r))
+        for _ in range(100):
+            dx, dy = rng.randint(-20, 20), rng.randint(-20, 20)
+            if any(m.c * dy - m.d * dx == 0 for m in ms.moves):
+                continue
+            assert cone_of(rays, dx, dy) == cone_index(ms, (Fraction(dx), Fraction(dy)))
 
 
 def test_cone_on_move_line_raises():
@@ -177,8 +191,12 @@ def test_canonical_idempotent_and_permutation_invariant():
         t = labelled_type(QUEEN, cfg)
         canon = canonical_unlabelled(t)
         assert canonical_unlabelled(canon.canonical) == canon
-        for sigma in itertools.permutations(range(1, 5)):
-            assert canonical_unlabelled(t.relabel(sigma)) == canon
+        orbit = [t.relabel(sigma) for sigma in itertools.permutations(range(1, 5))]
+        for image in orbit:
+            assert canonical_unlabelled(image) == canon
+        # the canonical form is the relabelling with the least key
+        assert canon.canonical == min(orbit, key=LabelledType.key)
+        assert orbit_size(canon) == len({image.key() for image in orbit})
 
 
 def test_orbit_size_divides_factorial():
@@ -245,6 +263,8 @@ def test_first_quadrant_sides_for_rook():
     t2 = t1_to_t2(t, ROOK)
     assert t2.side(1, 1, 2) is Side.LEFT   # above the horizontal move line
     assert t2.side(1, 2, 2) is Side.RIGHT  # right of the upward vertical line
+    with pytest.raises(KeyError):
+        t2.side(1, 3, 2)
 
 
 def test_t2_inconsistent_pattern_rejected():
