@@ -9,6 +9,7 @@ with four pieces.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
@@ -33,7 +34,7 @@ from .geometry import (
     region_representatives,
     region_sample_points,
 )
-from .placement import count_sets, line_masks
+from .placement import count_sets, line_masks, nonattacking_sets
 from .signature import (
     AttackError,
     Config,
@@ -73,9 +74,6 @@ class Census:
     def labelled_count(self) -> int:
         return sum(orbit_size(t) for t in self.types)
 
-    def type_keys(self) -> set[tuple[int, ...]]:
-        return {t.canonical.key() for t in self.types}
-
 
 @dataclass(frozen=True)
 class StabilizationReport:
@@ -112,50 +110,32 @@ def _keys_to_types(keys: Iterable[tuple[int, ...]], q: int, r: int) -> frozenset
 
 
 def grid_census(ms: MoveSet, board: Board, n: int, q: int) -> Census:
-    """Types realized on the order-n lattice board (a lower bound for fixed n)."""
+    """Types realized on the order-n lattice board (a lower bound for fixed n).
+
+    Pieces 1..q-1 run over the nonattacking sets of `placement` and the last
+    piece over each set's `rest`.
+    """
     if q < 1 or n < 1:
         raise GeometryError("need q >= 1 and n >= 1")
     cells = lattice_points(board, n).cells
     rays = [(m.c, m.d) for m in region_numbering(ms)]
     pairs = [(i, k) for i in range(q) for k in range(q) if i != k]
-
-    if q == 1:
-        types = _keys_to_types([()] if cells else [], 1, ms.r)
-        return Census(ms, q, "grid", types, False, {"n": n, "cells": len(cells)})
-
     _lines, masks = line_masks(ms, cells)
-    # memoized cone lookup per relative displacement: board deltas repeat a lot
-    seen: dict[tuple[int, int], int] = {}
-
-    def cone(dx: int, dy: int) -> int:
-        region = seen.get((dx, dy))
-        if region is None:
-            region = seen[(dx, dy)] = cone_of(rays, dx, dy)
-        return region
-
+    # memoized cone per relative displacement: board deltas repeat a lot
+    cone = functools.lru_cache(maxsize=None)(lambda dx, dy: cone_of(rays, dx, dy))
     keys: set[tuple[int, ...]] = set()
-    chosen: list[int] = []
-
-    def place(avail: int, depth: int) -> None:
-        m = avail
-        while m:
-            low = m & -m
-            idx = low.bit_length() - 1
-            m ^= low
-            chosen.append(idx)
-            if depth == q - 1:
-                pts = [cells[c] for c in chosen]
-                keys.add(tuple(
-                    cone(pts[k][0] - pts[i][0], pts[k][1] - pts[i][1])
-                    for i, k in pairs
-                ))
-            else:
-                place(avail & ~masks[idx] & ~((low << 1) - 1), depth + 1)
-            chosen.pop()
-
-    place((1 << len(cells)) - 1, 0)
-    types = _keys_to_types(keys, q, ms.r)
-    return Census(ms, q, "grid", types, False, {"n": n, "cells": len(cells)})
+    for chosen, rest in nonattacking_sets((1 << len(cells)) - 1, q - 1,
+                                          masks.__getitem__):
+        while rest:
+            last = rest.bit_length() - 1
+            rest ^= 1 << last
+            pts = [cells[c] for c in (*chosen, last)]
+            keys.add(tuple(
+                cone(pts[k][0] - pts[i][0], pts[k][1] - pts[i][1])
+                for i, k in pairs
+            ))
+    return Census(ms, q, "grid", _keys_to_types(keys, q, ms.r), False,
+                  {"n": n, "cells": len(cells)})
 
 
 def stabilized_census(
@@ -395,8 +375,13 @@ def census_from_dict(data: dict) -> Census:
     )
 
 
+# Hashed into every cache key.  Raise it whenever an engine's results or
+# their encoding change, so that entries written by older code are not served.
+CACHE_SCHEMA = 1
+
+
 def cache_key(kind: str, payload: dict) -> str:
-    body = json.dumps({"kind": kind, **payload}, sort_keys=True)
+    body = json.dumps([CACHE_SCHEMA, kind, payload], sort_keys=True)
     return hashlib.sha256(body.encode()).hexdigest()
 
 

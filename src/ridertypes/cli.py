@@ -8,6 +8,7 @@ JSON goes to stdout, human-readable progress to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -33,7 +34,7 @@ from .finitefield import (
     ExceptionalPrimeError,
     ff_type_count,
     torus_count,
-    valid_primes_from,
+    valid_primes_from,  # unused here; bench/run.py traces cli.valid_primes_from
 )
 from .formulas import (
     eval_quasipoly,
@@ -105,25 +106,23 @@ def _resolve_moves(text: str) -> MoveSet:
 def _ff_prime_counts(ms: MoveSet, q: int, primes: list[int],
                      threads: int, cache_dir: str | None) -> dict[int, int]:
     counts: dict[int, int] = {}
-    missing = []
+    missing: dict[int, str] = {}  # prime -> cache key
     for p in primes:
         key = cache_key("prime-count", {"moves": str(ms), "q": q, "p": p})
         hit = cache_load(cache_dir, key)
         if hit is not None:
             counts[p] = int(hit["count"])
         else:
-            missing.append(p)
+            missing[p] = key
     workers = min(threads, len(missing), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = pool.map(_torus_worker, [(str(ms), q, p) for p in missing])
-            for p, count in zip(missing, results):
-                counts[p] = count
+            counts.update(zip(missing, results))
     else:
         for p in missing:
             counts[p] = torus_count(ms, q, p).count
-    for p in missing:
-        key = cache_key("prime-count", {"moves": str(ms), "q": q, "p": p})
+    for p, key in missing.items():
         cache_store(cache_dir, key, {"moves": str(ms), "q": q, "p": p,
                                      "count": counts[p]})
     return counts
@@ -136,9 +135,9 @@ def _torus_worker(args: tuple[str, int, int]) -> int:
 
 def run_ff(ms: MoveSet, q: int, prime_floor: int, threads: int,
            cache_dir: str | None) -> dict:
-    primes = valid_primes_from(ms, prime_floor, 2 * q + 1 + 2)
-    counts = _ff_prime_counts(ms, q, primes, threads, cache_dir)
-    result = ff_type_count(ms, q, prime_floor=prime_floor, counts=counts)
+    count = functools.partial(_ff_prime_counts, ms, q, threads=threads,
+                              cache_dir=cache_dir)
+    result = ff_type_count(ms, q, prime_floor=prime_floor, count=count)
     return {
         "engine": "ff",
         "moves": str(ms),
@@ -182,9 +181,9 @@ def cmd_types(args) -> int:
             else:
                 result, _report = stabilized_census(
                     ms, board, args.q, args.n_start, args.n_max, args.window)
-        if cached is None:
-            cache_store(cache_dir, key, census_to_dict(result))
         report = census_to_dict(result)
+        if cached is None:
+            cache_store(cache_dir, key, report)
 
     golden = known_types(args.q, ms.r)
     if golden is not None:
@@ -308,17 +307,11 @@ def verify_fours(budget: int) -> list[dict]:
     detail = "no witness in budget" if w is None else (
         f"P2={w.p2} P3a={w.p3_a} P3b={w.p3_b} after {w.evals} evals")
     checks.append(_subcheck("queen witness found", w is not None, detail))
-    for name in ("semiqueen", "trident"):
-        ms = parse_moves(PIECES[name])
-        w = fours_witness(ms, budget=budget)
+    for name in ("semiqueen", "trident", "1,0;1,2;1,-2"):
+        w = fours_witness(_resolve_moves(name), budget=budget)
         checks.append(_subcheck(
             f"{name} witness absent", w is None,
             "none found" if w is None else f"witness at P2={w.p2}, P3a={w.p3_a}, P3b={w.p3_b}"))
-    ms = parse_moves("1,0;1,2;1,-2")
-    w = fours_witness(ms, budget=budget)
-    checks.append(_subcheck(
-        "1,0;1,2;1,-2 witness absent", w is None,
-        "none found" if w is None else f"witness at P2={w.p2}, P3a={w.p3_a}, P3b={w.p3_b}"))
     return checks
 
 

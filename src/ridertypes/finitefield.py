@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .geometry import GeometryError, MoveSet
 from .placement import count_sets, torus_line_masks
@@ -22,6 +23,10 @@ from .placement import count_sets, torus_line_masks
 # p^2 bits for each of the r moves, r * p^3 bits in all: under 13 MB for
 # r <= 6 at p = 257.  A floor above it is rejected before any prime search.
 MAX_PRIME = 257
+
+# Primes counted beyond the 2q + 1 that interpolation needs; the polynomial
+# must fit each of them exactly.
+VALIDATION_PRIMES = 2
 
 
 class ExceptionalPrimeError(RuntimeError):
@@ -243,26 +248,27 @@ class FFTypeCount:
     prime_counts: tuple[PrimeCount, ...]
 
 
-def ff_type_count(ms: MoveSet, q: int, prime_floor: int = 11,
-                  validation: int = 2, attempts: int = 3,
-                  counts: dict[int, int] | None = None) -> FFTypeCount:
+def ff_type_count(ms: MoveSet, q: int, prime_floor: int = 11, attempts: int = 3,
+                  count: Callable[[list[int]], dict[int, int]] | None = None
+                  ) -> FFTypeCount:
     """Labelled and unlabelled type counts from the finite-field engine.
 
-    Primes are the smallest valid ones at or above the floor, plus validation
-    primes; an exceptional sample raises and is retried with larger primes.
+    Primes are the smallest valid ones at or above the floor, plus
+    VALIDATION_PRIMES more; an exceptional sample raises and is retried with
+    larger primes.  `count(primes)` gives the torus count of each prime, for
+    every attempt; the default counts them one by one with `torus_count`.
     """
     if q < 1:
         raise GeometryError("need q >= 1")
     if attempts < 1:
         raise GeometryError("need attempts >= 1")
+    if count is None:
+        count = lambda primes: {p: torus_count(ms, q, p).count for p in primes}
     floor = prime_floor
-    counts = dict(counts or {})
     last_error: ExceptionalPrimeError | None = None
     for _ in range(attempts):
-        primes = valid_primes_from(ms, floor, 2 * q + 1 + validation)
-        for p in primes:
-            if p not in counts:
-                counts[p] = torus_count(ms, q, p).count
+        primes = valid_primes_from(ms, floor, 2 * q + 1 + VALIDATION_PRIMES)
+        counts = count(primes)
         try:
             poly = char_poly(ms, q, primes, counts)
         except ExceptionalPrimeError as exc:

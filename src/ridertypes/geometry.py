@@ -99,9 +99,6 @@ class MoveSet:
     def r(self) -> int:
         return len(self.moves)
 
-    def slopes(self) -> list[Slope]:
-        return [slope_of(m) for m in self.moves]
-
     def reorient(self, j: int) -> "MoveSet":
         """Replace move j (1-based) by its negative."""
         if not 1 <= j <= self.r:

@@ -1,4 +1,5 @@
-"""Bitmask placement core shared by the board counter and the torus counter.
+"""Bitmask placement core shared by the board and torus counters and the
+grid census.
 
 Cells are numbered 0..N-1 and a set of cells is an int bitmask.  The cells on
 one move line form a line mask, and the lines of one move partition the cells.
@@ -9,7 +10,7 @@ every cell it attacks.  A board's lines are keyed by d*x - c*y for the move
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .geometry import MoveSet
 
@@ -97,22 +98,38 @@ def pair_count(avail: int, lines: Sequence[int], r: int) -> int:
     return n * n - squares + (r - 1) * n
 
 
-def count_sets(avail: int, size: int, lines: Sequence[int], r: int,
-               star: Callable[[int], int]) -> int:
-    """Nonattacking `size`-element subsets of `avail`, for an r-move rider
-    whose cell i has star `star(i)`.
+def nonattacking_sets(avail: int, size: int, star: Callable[[int], int]
+                      ) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(cells, rest) for each nonattacking `size`-element subset of `avail`,
+    for a rider whose cell i has star `star(i)`.
 
-    Each set is built once, from its highest cell down: after choosing a
-    cell, only lower cells stay available, which also keeps the masks short.
-    The last two cells are counted in closed form by `pair_count`.
+    Each set is built once, from its highest cell down, so `cells` is
+    decreasing: after choosing a cell, only lower cells stay available,
+    which also keeps the masks short.  `rest` is the set of cells of `avail`
+    below the lowest chosen cell that attack none of the chosen ones, the
+    cells that can extend the set by one.
     """
-    if size < 2:
-        return avail.bit_count() if size else 1
-    if size == 2:
-        return pair_count(avail, lines, r) // 2
-    total = 0
+    if size == 0:
+        yield (), avail
+        return
     while avail:
         i = avail.bit_length() - 1
         avail ^= 1 << i
-        total += count_sets(avail & ~star(i), size - 1, lines, r, star)
-    return total
+        if size == 1:
+            yield (i,), avail & ~star(i)
+        else:
+            for cells, rest in nonattacking_sets(avail & ~star(i), size - 1, star):
+                yield (i, *cells), rest
+
+
+def count_sets(avail: int, size: int, lines: Sequence[int], r: int,
+               star: Callable[[int], int]) -> int:
+    """Nonattacking `size`-element subsets of `avail`, for an r-move rider
+    whose cell i has star `star(i)`: the first size - 2 cells come from
+    `nonattacking_sets`, the last two are counted in closed form by
+    `pair_count`.
+    """
+    if size < 2:
+        return avail.bit_count() if size else 1
+    return sum(pair_count(rest, lines, r)
+               for _cells, rest in nonattacking_sets(avail, size - 2, star)) // 2

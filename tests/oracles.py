@@ -28,19 +28,34 @@ from ridertypes.geometry import (
 from ridertypes.signature import Config, canonical_unlabelled, labelled_type
 
 
-def brute_force_labelled(ms, board, n: int, q: int) -> int:
-    """Nonattacking labelled placements by direct enumeration of cell sets."""
-    cells = lattice_points(board, n).cells
-
+def nonattacking_cell_sets(ms, cells, q: int):
+    """Every nonattacking q-subset of the cells, by direct enumeration."""
     def attacks(a, b):
         dx, dy = b[0] - a[0], b[1] - a[1]
         return any(m.c * dy - m.d * dx == 0 for m in ms.moves)
 
-    sets = 0
     for combo in itertools.combinations(cells, q):
         if all(not attacks(a, b) for a, b in itertools.combinations(combo, 2)):
-            sets += 1
+            yield combo
+
+
+def brute_force_labelled(ms, board, n: int, q: int) -> int:
+    """Nonattacking labelled placements by direct enumeration of cell sets."""
+    cells = lattice_points(board, n).cells
+    sets = sum(1 for _ in nonattacking_cell_sets(ms, cells, q))
     return sets * math.factorial(q)
+
+
+def brute_force_grid_types(ms, board, n: int, q: int):
+    """Grid census by direct typing: `labelled_type` on every nonattacking
+    placement of q pieces on the order-n board.  Returns (set of unlabelled
+    types, number of cells)."""
+    cells = lattice_points(board, n).cells
+    types = {
+        canonical_unlabelled(labelled_type(ms, Config(tuple(point(x, y) for x, y in combo))))
+        for combo in nonattacking_cell_sets(ms, cells, q)
+    }
+    return types, len(cells)
 
 
 def brute_force_unlabelled(ms, board, n: int, q: int) -> int:

@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import math
 
-from oracles import brute_force_labelled, labelled_geometric_types
+from oracles import brute_force_grid_types, brute_force_labelled, labelled_geometric_types
 
-from ridertypes.boards import SQUARE, TRIANGLE
+from ridertypes.boards import SQUARE, TRIANGLE, parse_board
 from ridertypes.census import (
+    CACHE_SCHEMA,
     cache_key,
     cache_load,
     cache_store,
@@ -92,6 +93,20 @@ def test_grid_census_monotone_in_n():
         c = grid_census(QUEEN, SQUARE, n, 3)
         assert prev <= c.types
         prev = c.types
+
+
+def test_grid_census_matches_brute_force_typing():
+    # every nonattacking placement typed with `labelled_type`, against the
+    # grid engine's set enumeration with memoized cones
+    boards = (SQUARE, TRIANGLE, parse_board("poly:0,0;1,1/2;1/2,1"))
+    for ms in (ROOK, TRIDENT, QUEEN, NIGHTRIDER):
+        for board in boards:
+            for n in range(1, 7):
+                for q in (1, 2, 3):
+                    c = grid_census(ms, board, n, q)
+                    types, cells = brute_force_grid_types(ms, board, n, q)
+                    assert c.types == types, (ms, board, n, q)
+                    assert c.metadata == {"n": n, "cells": cells}
 
 
 def test_stabilized_census_queens_q2():
@@ -237,6 +252,17 @@ def test_census_cache(tmp_path):
     hit = cache_load(tmp_path, key)
     assert hit is not None
     assert census_from_dict(hit).types == c.types
+
+
+def test_cache_entry_from_another_schema_is_a_miss(tmp_path, monkeypatch):
+    payload = {"moves": str(ROOK), "q": 2, "engine": "geometric"}
+    key = cache_key("census", payload)
+    monkeypatch.setattr("ridertypes.census.CACHE_SCHEMA", CACHE_SCHEMA + 1)
+    old_key = cache_key("census", payload)
+    assert old_key != key
+    cache_store(tmp_path, old_key, census_to_dict(geometric_census(ROOK, 2)))
+    monkeypatch.undo()
+    assert cache_load(tmp_path, cache_key("census", payload)) is None
 
 
 def test_projective_transport_preserves_census():

@@ -129,6 +129,36 @@ def test_worker_pool_is_capped(monkeypatch):
         assert sizes == expected, (cpus, threads)
 
 
+def test_ff_retry_primes_go_through_the_cache(tmp_path, monkeypatch):
+    # the first interpolation fails, so ff_type_count retries with larger
+    # primes; both attempts' primes are counted by _ff_prime_counts and cached
+    ms = parse_moves(PIECES["trident"])
+    asked = []
+    real_counts = cli._ff_prime_counts
+    real_char_poly = finitefield.char_poly
+
+    def recording_counts(ms_, q, primes, **kwargs):
+        asked.append(list(primes))
+        return real_counts(ms_, q, primes, **kwargs)
+
+    def fail_once(*args):
+        if len(asked) == 1:
+            raise finitefield.ExceptionalPrimeError("forced")
+        return real_char_poly(*args)
+
+    monkeypatch.setattr(cli, "_ff_prime_counts", recording_counts)
+    monkeypatch.setattr(finitefield, "char_poly", fail_once)
+    report = cli.run_ff(ms, 2, 11, 1, str(tmp_path))
+    first = valid_primes_from(ms, 11, 7)
+    assert asked == [first, valid_primes_from(ms, first[-1] + 1, 7)]
+    assert report["primes"] == asked[1]
+    assert report["unlabelled"] == 3
+    for p in asked[0] + asked[1]:
+        key = cli.cache_key("prime-count", {"moves": str(ms), "q": 2, "p": p})
+        assert cli.cache_load(str(tmp_path), key)["count"] == \
+            finitefield.torus_count(ms, 2, p).count
+
+
 def test_prime_floor_above_ceiling(capsys, monkeypatch):
     def no_search(n):
         raise AssertionError("prime search ran")

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import naive_torus_count, naive_uncovered, random_line_set
 
+from ridertypes import finitefield
 from ridertypes.finitefield import (
     MAX_PRIME,
     CharPoly,
@@ -198,11 +199,22 @@ def test_ff_semiqueen_q5_matches_golden():
     assert result.labelled == 120 * 1899
 
 
-def test_ff_accepts_precomputed_counts():
+def test_ff_accepts_precomputed_counts(monkeypatch):
     primes = valid_primes_from(TRIDENT, 11, 7)
     counts = {p: torus_count(TRIDENT, 2, p).count for p in primes}
-    result = ff_type_count(TRIDENT, 2, counts=counts)
+    asked = []
+
+    def count(ps):
+        asked.append(ps)
+        return {p: counts[p] for p in ps}
+
+    def no_count(*args):
+        raise AssertionError("torus_count ran")
+
+    monkeypatch.setattr(finitefield, "torus_count", no_count)
+    result = ff_type_count(TRIDENT, 2, count=count)
     assert result.unlabelled == 3
+    assert asked == [primes]
 
 
 def test_charpoly_eval():
