@@ -2,8 +2,8 @@
 
 Three independent routes to the same answer (exact recursive geometric
 placement, exhaustive grid enumeration with stabilization, randomized
-sampling) plus the witness search for position-dependence of reachable types
-with four pieces.
+sampling) plus the built witness, with its checks, for position-dependence
+of reachable types with four pieces.
 """
 
 from __future__ import annotations
@@ -26,13 +26,18 @@ from .geometry import (
     GeometryError,
     MoveSet,
     ORIGIN,
+    OrientedLine,
     Point,
+    Side,
     arrangement,
     configuration_arrangement,
+    intersect,
     move_lines,
     parse_moves,
     region_representatives,
     region_sample_points,
+    sign_vector,
+    steiner_count,
 )
 from .placement import count_sets, line_masks, nonattacking_sets
 from .signature import (
@@ -100,13 +105,13 @@ def count_nonattacking(ms: MoveSet, board: Board, n: int, q: int) -> int:
     return sets * math.factorial(q)
 
 
+def _key_to_type(key: tuple[int, ...], q: int, r: int) -> LabelledType:
+    pairs = itertools.permutations(range(1, q + 1), 2)  # (1, 2), (1, 3), ..., (q, q - 1)
+    return LabelledType(q, r, tuple((i, k, g) for (i, k), g in zip(pairs, key)))
+
+
 def _keys_to_types(keys: Iterable[tuple[int, ...]], q: int, r: int) -> frozenset[UnlabelledType]:
-    pairs = [(i, k) for i in range(1, q + 1) for k in range(1, q + 1) if i != k]
-    out = set()
-    for key in keys:
-        entries = tuple((i, k, region) for (i, k), region in zip(pairs, key))
-        out.add(canonical_unlabelled(LabelledType(q, r, entries)))
-    return frozenset(out)
+    return frozenset(canonical_unlabelled(_key_to_type(key, q, r)) for key in keys)
 
 
 def grid_census(ms: MoveSet, board: Board, n: int, q: int) -> Census:
@@ -293,7 +298,6 @@ class FoursWitness:
     p3_b: Point
     region_signature: tuple
     differing_type: LabelledType
-    evals: int
 
 
 def _reachable_keys(ms: MoveSet, cfg3: tuple[Point, ...]) -> frozenset[tuple[int, ...]]:
@@ -305,47 +309,77 @@ def _reachable_keys(ms: MoveSet, cfg3: tuple[Point, ...]) -> frozenset[tuple[int
     return frozenset(keys)
 
 
-def fours_witness(
-    ms: MoveSet,
-    samples_per_region: int = 3,
-    budget: int = 200,
-) -> FoursWitness | None:
-    """Search for position-dependence of fourth-piece types on the third
-    piece's location within a fixed region.
+def sweep_loci(ms: MoveSet, p1: Point, p2: Point) -> list[OrientedLine]:
+    """The distinct lines through each crossing X of a P1 move line with a
+    P2 move line that have a move slope other than the two crossing at X."""
+    loci = {}
+    for a, b, c in itertools.permutations(ms.moves, 3):
+        ln = OrientedLine(intersect(OrientedLine(p1, a), OrientedLine(p2, b)), c)
+        loci.setdefault(ln.unoriented_key(), ln)
+    return list(loci.values())
 
-    Pieces 1 and 2 are pinned (origin plus one representative per region of
-    piece 1's arrangement); every region of their joint arrangement is probed
-    at several interior points, and the sets of reachable labelled types for a
-    fourth piece are compared.  `budget` caps the number of reachable-set
-    evaluations.  Returns None when the budget finds no witness.
+
+def _toward_nearest(line: OrientedLine, walls: list[OrientedLine], frac: Fraction) -> Point:
+    """The point `frac` of the way from the line's anchor to its nearest
+    other crossing with `walls` (frac < 0: as far the other way)."""
+    a = line.anchor
+    xs = [x for x in (intersect(line, w) for w in walls) if isinstance(x, Point) and x != a]
+    x = min(xs, key=lambda x: abs(x.x - a.x) + abs(x.y - a.y))
+    return a.translated(frac * (x.x - a.x), frac * (x.y - a.y))
+
+
+def fours_witness(ms: MoveSet) -> FoursWitness | None:
+    """Two placements of piece 3 in one region of arr(P1, P2) that reach
+    different fourth-piece types, built directly; None exactly when r < 3.
+
+    Why they exist: where a P1 move line (slope a) crosses a P2 move line
+    (slope b) at X, the line through X with a third move slope c is a sweep
+    locus (`sweep_loci`).  As piece 3 crosses it, its c-line passes over X
+    and the small triangle of the a-, b- and c-lines flips.  Three lines in
+    general position leave one of the eight side patterns empty, and each
+    piece's sector lies in one half-plane of its own line, so a fourth-piece
+    type realized in the triangle on one side is realized nowhere on the
+    other.  (With two pieces the only crossings are the pieces themselves,
+    so one representative per region suffices for three pieces, not four.)
+
+    Construction: P1 at the origin, P2 at P1's first region representative,
+    and the locus of the third slope through the crossing X of P1's first
+    and P2's second move line.  Piece 3 walks along the locus from X half
+    way to the nearest line of arr(P1, P2) or of another locus, then steps
+    along the first move half way to the nearest such line on each side, so
+    the two placements straddle one locus and nothing else: one type goes
+    out and one comes in.
     """
-    if ms.r < 1 or budget < 2:
+    if ms.r < 3:
         return None
     p1 = ORIGIN
-    evals = 0
-    for p2 in region_representatives(arrangement(move_lines(ms, p1))):
-        arr12 = configuration_arrangement(ms, (p1, p2))
-        for sig, pts in region_sample_points(arr12, samples_per_region).items():
-            if len(pts) < 2:
-                continue
-            reach = []
-            for p3 in pts:
-                if evals >= budget:
-                    return None
-                reach.append((p3, _reachable_keys(ms, (p1, p2, p3))))
-                evals += 1
-            for (pa, ra), (pb, rb) in itertools.combinations(reach, 2):
-                if ra != rb:
-                    diff_key = sorted(ra.symmetric_difference(rb))[0]
-                    kpairs = [(i, k) for i in range(1, 5) for k in range(1, 5) if i != k]
-                    entries = tuple(
-                        (i, k, region) for (i, k), region in zip(kpairs, diff_key)
-                    )
-                    return FoursWitness(
-                        p1, p2, pa, pb, sig,
-                        LabelledType(4, ms.r, entries), evals,
-                    )
-    return None
+    p2 = region_representatives(arrangement(move_lines(ms, p1)))[0]
+    arr12 = configuration_arrangement(ms, (p1, p2))
+    walls = [*arr12.lines, *sweep_loci(ms, p1, p2)]
+    x = intersect(arr12.lines[0], arr12.lines[ms.r + 1])
+    mid = _toward_nearest(OrientedLine(x, ms.moves[2]), walls, Fraction(1, 2))
+    across = OrientedLine(mid, ms.moves[0])
+    p3_a, p3_b = (_toward_nearest(across, walls, Fraction(f, 2)) for f in (-1, 1))
+    ra, rb = (_reachable_keys(ms, (p1, p2, p3)) for p3 in (p3_a, p3_b))
+    return FoursWitness(p1, p2, p3_a, p3_b, sign_vector(arr12, p3_a),
+                        _key_to_type(min(ra ^ rb), 4, ms.r))
+
+
+def witness_checks(ms: MoveSet, w: FoursWitness) -> dict[str, bool]:
+    """The named checks that make `w` a genuine witness."""
+    p3s = (w.p3_a, w.p3_b)
+    arr12 = configuration_arrangement(ms, (w.p1, w.p2))
+    loci = arrangement(sweep_loci(ms, w.p1, w.p2))
+    arrs = [configuration_arrangement(ms, (w.p1, w.p2, p3)) for p3 in p3s]
+    ra, rb = (_reachable_keys(ms, (w.p1, w.p2, p3)) for p3 in p3s)
+    sa, sb = (sign_vector(loci, p3) for p3 in p3s)
+    return {
+        "one region": {sign_vector(arr12, p3) for p3 in p3s} == {w.region_signature},
+        "complete enumerations": all(len(region_representatives(a)) == steiner_count(a)
+                                     for a in arrs),
+        "reachable sets differ": w.differing_type.key() in ra ^ rb,
+        "one locus crossed": Side.ON not in sa + sb and sum(a != b for a, b in zip(sa, sb)) == 1,
+    }
 
 
 # -- serialization and cache -------------------------------------------------

@@ -29,6 +29,7 @@ from .census import (
     grid_census,
     random_census,
     stabilized_census,
+    witness_checks,
 )
 from .finitefield import (
     ExceptionalPrimeError,
@@ -300,18 +301,18 @@ def verify_thm_3move(threads: int, cache_dir: str | None) -> list[dict]:
     return checks
 
 
-def verify_fours(budget: int) -> list[dict]:
+def verify_fours() -> list[dict]:
     checks = []
-    queen = parse_moves(PIECES["queen"])
-    w = fours_witness(queen, budget=budget)
-    detail = "no witness in budget" if w is None else (
-        f"P2={w.p2} P3a={w.p3_a} P3b={w.p3_b} after {w.evals} evals")
-    checks.append(_subcheck("queen witness found", w is not None, detail))
-    for name in ("semiqueen", "trident", "1,0;1,2;1,-2"):
-        w = fours_witness(_resolve_moves(name), budget=budget)
-        checks.append(_subcheck(
-            f"{name} witness absent", w is None,
-            "none found" if w is None else f"witness at P2={w.p2}, P3a={w.p3_a}, P3b={w.p3_b}"))
+    for name in ("queen", "semiqueen", "trident", "1,0;1,2;1,-2"):
+        ms = _resolve_moves(name)
+        w = fours_witness(ms)
+        failed = [check for check, ok in witness_checks(ms, w).items() if not ok]
+        detail = f"P2={w.p2} P3a={w.p3_a} P3b={w.p3_b}"
+        if ms.r == 3:
+            detail = f"refutes 'no four-piece witness for 3-move riders': {detail}"
+        if failed:
+            detail += f"; failed: {', '.join(failed)}"
+        checks.append(_subcheck(f"{name} witness genuine", not failed, detail))
     return checks
 
 
@@ -323,7 +324,7 @@ def cmd_verify(args) -> int:
     elif args.name == "thm-3move":
         checks = verify_thm_3move(args.threads, args.cache_dir)
     else:
-        checks = verify_fours(args.budget)
+        checks = verify_fours()
     passed = sum(1 for c in checks if c["pass"])
     report = {"command": "verify", "name": args.name, "checks": checks,
               "passed": passed, "total": len(checks)}
@@ -382,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_types = sub.add_parser("types", help="run a census engine")
     p_types.add_argument("--moves", required=True,
                          help="move set `c,d;...` or a named piece")
-    p_types.add_argument("--q", type=int, required=True)
+    p_types.add_argument("--q", type=_positive_int, required=True)
     p_types.add_argument("--engine", choices=("grid", "geometric", "random", "ff"),
                          default="ff")
     p_types.add_argument("--board", default="square")
@@ -401,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="count nonattacking placements")
     p_count.add_argument("--moves", required=True)
-    p_count.add_argument("--q", type=int, default=1)
+    p_count.add_argument("--q", type=_positive_int, default=1)
     p_count.add_argument("--board", default="square")
     p_count.add_argument("--n", type=int, default=None)
     p_count.add_argument("--n-range", type=_parse_range, default=None,
@@ -414,13 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a predefined cross-check suite")
     p_verify.add_argument("name", choices=("table1", "thm-q3", "thm-3move", "fours"))
-    p_verify.add_argument("--budget", type=int, default=200,
-                          help="evaluation budget for the fours witness search")
     p_verify.set_defaults(func=cmd_verify)
 
     p_fit = sub.add_parser("fit", help="fit a counting quasipolynomial")
     p_fit.add_argument("--data", required=True, help="b-file of (n, count) rows")
-    p_fit.add_argument("--q", type=int, required=True)
+    p_fit.add_argument("--q", type=_positive_int, required=True)
     p_fit.add_argument("--period", type=int, default=None,
                        help="constituent period (searched over small values if omitted)")
     p_fit.add_argument("--degree", type=int, default=None,
@@ -463,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except GeometryError as exc:
+    except (GeometryError, OSError) as exc:  # OSError: an unwritable -o or cache path
         _log(f"error: {exc}")
         return EXIT_USAGE
     except ExceptionalPrimeError as exc:

@@ -285,11 +285,6 @@ def t2_to_t1(t2: T2Type, ms: MoveSet) -> LabelledType:
     return LabelledType(t2.q, t2.r, tuple(entries))
 
 
-def reorient(ms: MoveSet, j: int) -> MoveSet:
-    """Move set with basic move j replaced by its negative."""
-    return ms.reorient(j)
-
-
 def reorient_type(t: LabelledType, ms: MoveSet, j: int) -> LabelledType:
     """Type of the same configuration after reorienting move j.
 

@@ -3,9 +3,10 @@
 Run with `pytest tests/test_acceptance.py -v -s` to watch the lines appear.
 Criterion 8 is split into a queen half and a three-move half.  Both assert
 that within-region witnesses exist, since they provably do for every move
-set with at least three slopes (the mechanism is explained at the 8b test),
-and 8b checks that each witness is genuine: one region, complete region
-enumeration on both sides, differing reachable sets, a sweep locus crossed.
+set with at least three slopes (the mechanism is explained at
+`census.fours_witness`), and 8b checks that each witness is genuine: one
+region, complete region enumeration on both sides, differing reachable sets,
+exactly one sweep locus crossed and none touched.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from ridertypes.census import (
     geometric_census,
     random_census,
     stabilized_census,
+    witness_checks,
     _reachable_keys,
 )
 from ridertypes.cli import PIECES, family_movesets, main
@@ -60,7 +62,7 @@ from ridertypes.geometry import (
     sign_vector,
     steiner_count,
 )
-from ridertypes.signature import Config, is_nonattacking, labelled_type, reorient, reorient_type
+from ridertypes.signature import Config, is_nonattacking, labelled_type, reorient_type
 
 QUEEN = parse_moves(PIECES["queen"])
 ROOK = parse_moves(PIECES["rook"])
@@ -215,11 +217,11 @@ def test_criterion_7_reciprocity():
 
 
 def test_criterion_8a_queen_witness():
-    w = fours_witness(QUEEN, samples_per_region=3, budget=200)
+    w = fours_witness(QUEEN)
     assert w is not None
     report("criterion 8a", True,
-           f"queen witness found after {w.evals} evaluations: P3 at {w.p3_a} "
-           f"vs {w.p3_b} inside one region of the two-piece arrangement")
+           f"queen witness built: P3 at {w.p3_a} vs {w.p3_b} inside one "
+           f"region of the two-piece arrangement")
 
 
 def _sweep_loci(ms, p1, p2):
@@ -236,45 +238,26 @@ def _sweep_loci(ms, p1, p2):
     return list(loci.values())
 
 
-def _segment_meets(line, a, b) -> bool:
-    """Whether the closed segment from a to b meets the line."""
-    sa, sb = side_of(line, a), side_of(line, b)
-    return sa != sb or sa is Side.ON
-
-
 def test_criterion_8b_three_move_witnesses_absent_as_stated():
     """Criterion 8's three-move half, asserted as proved: witnesses exist.
 
     The criterion as first stated claimed that no four-piece witness exists
-    for 3-move riders; the name is kept, the claim is refuted here (and
-    `ridertypes verify fours` still checks it as stated, so it exits 1).
-    Pieces 1 and 2 stay fixed.  Take a crossing X of a piece-1 move line of
-    slope a with a piece-2 move line of slope b; the line through X with a
-    third move slope c is a sweep locus, which exists exactly when r >= 3 and
-    cuts region interiors of the two-piece arrangement.  As piece 3 crosses
-    it, piece 3's c-line passes over X and the small triangle of the a-, b-
-    and c-lines flips.  Each piece's sector lies in one half-plane of its own
-    line, and three lines in general position leave exactly one of the eight
-    side patterns empty, so a fourth-piece type realized in the triangle on
-    one side is realized nowhere on the other, and conversely.  When the
-    segment between the two placements crosses a single locus and neither
-    endpoint lies on one, the reachable sets differ by a one-in, one-out
-    exchange.  Otherwise they need not: for 1,0;1,2;1,-2 the second
-    placement lies on a locus and reaches two types fewer and one more.
-    (With two pieces the only crossings are the pieces themselves, whose
-    loci are the move lines; that is why the three-piece census admits one
-    representative per region but the four-piece census does not.)
+    for 3-move riders; the name is kept, the claim is refuted here.  The
+    sweep argument that refutes it is in the docstring of
+    `census.fours_witness`.
 
-    Each witness is checked to be genuine: both placements lie in one region
-    of the two-piece arrangement, both reachable-type enumerations are
-    complete (region count equals the Steiner count), the reachable sets
-    differ at the reported type, and the segment between the placements
-    meets a sweep locus.
+    Each witness is checked to be genuine, with locus helpers independent of
+    the library: both placements lie in one region of the two-piece
+    arrangement, both reachable-type enumerations are complete (region
+    count equals the Steiner count), the reachable sets differ at the
+    reported type, and the segment between the placements crosses exactly
+    one sweep locus with neither endpoint on one.  The library's
+    `witness_checks` must agree.
     """
     found = {}
     for ms in (SEMIQUEEN, TRIDENT, THIRD_R3):
-        w = fours_witness(ms, samples_per_region=3, budget=200)
-        assert w is not None, f"{ms}: no witness within the budget"
+        w = fours_witness(ms)
+        assert w is not None, f"{ms}: no witness"
         arr12 = configuration_arrangement(ms, (w.p1, w.p2))
         assert sign_vector(arr12, w.p3_a) == sign_vector(arr12, w.p3_b) \
             == w.region_signature, str(ms)
@@ -285,12 +268,15 @@ def test_criterion_8b_three_move_witnesses_absent_as_stated():
         rb = _reachable_keys(ms, (w.p1, w.p2, w.p3_b))
         assert ra != rb, str(ms)
         assert w.differing_type.key() in ra ^ rb, str(ms)
-        crossed = [ln for ln in _sweep_loci(ms, w.p1, w.p2)
-                   if _segment_meets(ln, w.p3_a, w.p3_b)]
-        assert crossed, f"{ms}: segment {w.p3_a} - {w.p3_b} meets no sweep locus"
+        loci = _sweep_loci(ms, w.p1, w.p2)
+        on = [ln for ln in loci for p3 in (w.p3_a, w.p3_b) if side_of(ln, p3) is Side.ON]
+        assert not on, f"{ms}: a placement lies on the sweep locus {on[0]}"
+        crossed = [ln for ln in loci if side_of(ln, w.p3_a) != side_of(ln, w.p3_b)]
+        assert len(crossed) == 1, \
+            f"{ms}: segment {w.p3_a} - {w.p3_b} crosses {len(crossed)} sweep loci"
+        assert all(witness_checks(ms, w).values()), str(ms)
         found[str(ms)] = (f"P2={w.p2} P3={w.p3_a}->{w.p3_b} "
-                          f"+{len(rb - ra)}/-{len(ra - rb)} types, "
-                          f"{len(crossed)} loci met")
+                          f"+{len(rb - ra)}/-{len(ra - rb)} types")
     report("criterion 8b", True,
            f"3-move riders have genuine within-region witnesses: {found}")
 
@@ -344,7 +330,7 @@ def test_criterion_9_property_suites():
         for j in range(1, ms.r + 1):
             mapped = {reorient_type(t.canonical, ms, j).key() for t in census.types}
             assert len(mapped) == census.size
-            assert geometric_census(reorient(ms, j), q).size == census.size
+            assert geometric_census(ms.reorient(j), q).size == census.size
 
     # Table 1's "?" cells are unknown in the source and must not be asserted
     unknowns = [(4, 5), (4, 6), (5, 5), (5, 6), (6, 5), (6, 6)]

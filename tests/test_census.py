@@ -4,6 +4,7 @@ which stays independent of the bitmask backtracker."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from oracles import brute_force_grid_types, brute_force_labelled, labelled_geometric_types
@@ -22,6 +23,8 @@ from ridertypes.census import (
     grid_census,
     random_census,
     stabilized_census,
+    witness_checks,
+    _key_to_type,
     _reachable_keys,
 )
 from ridertypes.cli import family_movesets
@@ -29,6 +32,7 @@ from ridertypes.formulas import t3_closed_form
 from ridertypes.geometry import (
     configuration_arrangement,
     parse_moves,
+    point,
     region_representatives,
     sign_vector,
     steiner_count,
@@ -205,7 +209,7 @@ def test_random_census_subset_and_determinism():
 
 
 def test_fours_witness_queen_found_and_valid():
-    w = fours_witness(QUEEN, samples_per_region=3, budget=200)
+    w = fours_witness(QUEEN)
     assert w is not None
     # both probes sit in the same region of the two-piece arrangement
     arr12 = configuration_arrangement(QUEEN, (w.p1, w.p2))
@@ -221,17 +225,38 @@ def test_fours_witness_queen_found_and_valid():
 
 
 def test_fours_witness_r1_none():
-    assert fours_witness(parse_moves("1,0"), budget=50) is None
-
-
-def test_fours_witness_budget_exhaustion():
-    assert fours_witness(QUEEN, budget=2) is None
+    # no sweep locus without a third slope: r = 1 and the rook and bishop
+    for moves in ("1,0", "1,0;0,1", "1,1;1,-1"):
+        assert fours_witness(parse_moves(moves)) is None
 
 
 def test_fours_witness_deterministic():
-    a = fours_witness(QUEEN, samples_per_region=3, budget=100)
-    b = fours_witness(QUEEN, samples_per_region=3, budget=100)
-    assert (a.p2, a.p3_a, a.p3_b) == (b.p2, b.p3_a, b.p3_b)
+    a = fours_witness(QUEEN)
+    b = fours_witness(QUEEN)
+    assert a == b
+
+
+def test_witness_checks_flag_broken_witnesses():
+    for ms in (QUEEN, SEMIQUEEN, NIGHTRIDER):
+        w = fours_witness(ms)
+        assert all(witness_checks(ms, w).values()), str(ms)
+        arr12 = configuration_arrangement(ms, (w.p1, w.p2))
+        elsewhere = next(p for p in region_representatives(arr12)
+                         if sign_vector(arr12, p) != w.region_signature)
+        on_locus = point((w.p3_a.x + w.p3_b.x) / 2, (w.p3_a.y + w.p3_b.y) / 2)
+        far = w.p3_a.translated(64 * (w.p3_b.x - w.p3_a.x), 64 * (w.p3_b.y - w.p3_a.y))
+        shared = min(_reachable_keys(ms, (w.p1, w.p2, w.p3_a))
+                     & _reachable_keys(ms, (w.p1, w.p2, w.p3_b)))
+        for broken, failing in (
+            (dataclasses.replace(w, p3_b=w.p3_a), "reachable sets differ"),
+            (dataclasses.replace(w, p3_b=w.p3_a), "one locus crossed"),
+            (dataclasses.replace(w, p3_b=elsewhere), "one region"),
+            (dataclasses.replace(w, p3_b=on_locus), "one locus crossed"),
+            (dataclasses.replace(w, p3_b=far), "one locus crossed"),
+            (dataclasses.replace(w, differing_type=_key_to_type(shared, 4, ms.r)),
+             "reachable sets differ"),
+        ):
+            assert not witness_checks(ms, broken)[failing], (str(ms), failing)
 
 
 def test_census_serialization_round_trip():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 
@@ -266,13 +267,55 @@ def test_fit_inconsistent_data(tmp_path, capsys):
 
 
 def test_verify_fours_reports_reality(capsys):
-    # the queen witness exists; the r=3 searches also find genuine witnesses
-    # (complete-enumeration verified), so not every subcheck can pass
-    code, out, _ = run_cli(capsys, "verify", "fours", "--budget", "120")
+    # the built witnesses are genuine for queens and the three 3-move riders,
+    # which refutes the old claim that 3-move riders have none
+    code, out, _ = run_cli(capsys, "verify", "fours")
     report = json.loads(out)
-    by_name = {c["name"]: c["pass"] for c in report["checks"]}
-    assert by_name["queen witness found"]
+    assert code == 0
+    assert report["passed"] == report["total"] == 4
+    details = {c["name"]: c["detail"] for c in report["checks"]}
+    assert "refutes" in details["trident witness genuine"]
+    assert "refutes" not in details["queen witness genuine"]
+
+
+def test_verify_fours_fails_on_a_broken_witness(capsys, monkeypatch):
+    built = cli.fours_witness
+
+    def p3_b_equals_p3_a(ms):
+        w = built(ms)
+        return dataclasses.replace(w, p3_b=w.p3_a)
+
+    monkeypatch.setattr(cli, "fours_witness", p3_b_equals_p3_a)
+    code, out, err = run_cli(capsys, "verify", "fours")
     assert code == 1
+    assert json.loads(out)["passed"] == 0
+    assert "failed: reachable sets differ, one locus crossed" in err
+
+
+def test_unwritable_paths_are_usage_errors(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for argv in (("-o", str(blocker / "x.json")),
+                 ("--cache-dir", str(blocker / "cache"))):
+        code, out, err = run_cli(capsys, *argv, "types", "--moves", "rook",
+                                 "--q", "2", "--engine", "geometric")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert [ln for ln in err.splitlines() if str(blocker) in ln] \
+            == [err.splitlines()[-1]], err
+
+
+def test_q_below_one_rejected(tmp_path, capsys):
+    data = tmp_path / "rows.txt"
+    data.write_text("1 0\n2 0\n3 4\n4 16\n")
+    for argv in (("types", "--moves", "rook", "--engine", "geometric"),
+                 ("count", "--moves", "rook", "--n", "3"),
+                 ("fit", "--data", str(data))):
+        for value in ("0", "-1"):
+            code, out, err = run_cli(capsys, *argv, "--q", value)
+            assert code == 2, (argv, value)
+            assert out == "" and "--q" in err
 
 
 def test_output_to_file(tmp_path, capsys):
@@ -285,8 +328,11 @@ def test_output_to_file(tmp_path, capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    code, _, _ = run_cli(capsys, "types", "--q", "2")
-    assert code == 2
+    # a missing --moves; the removed witness search budget
+    for argv in (("types", "--q", "2"), ("verify", "fours", "--budget", "5")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
 
 
 def test_verify_thm_q3(capsys):

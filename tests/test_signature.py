@@ -24,7 +24,6 @@ from ridertypes.signature import (
     labelled_type,
     orbit_size,
     region_numbering,
-    reorient,
     reorient_type,
     t1_to_t2,
     t2_to_t1,
@@ -207,9 +206,9 @@ def test_orbit_size_divides_factorial():
 
 def test_reorient_involution():
     for j in range(1, QUEEN.r + 1):
-        assert reorient(reorient(QUEEN, j), j) == QUEEN
+        assert QUEEN.reorient(j).reorient(j) == QUEEN
     t = labelled_type(QUEEN, Config((point(0, 0), point(5, 2), point(2, 7))))
-    assert reorient_type(reorient_type(t, QUEEN, 2), reorient(QUEEN, 2), 2) == t
+    assert reorient_type(reorient_type(t, QUEEN, 2), QUEEN.reorient(2), 2) == t
 
 
 def test_reorient_type_preserves_census_sets():
@@ -232,7 +231,7 @@ def test_t2_flip_under_reorientation():
     t = labelled_type(QUEEN, cfg)
     j = 3
     before = t1_to_t2(t, QUEEN)
-    after = t1_to_t2(labelled_type(reorient(QUEEN, j), cfg), reorient(QUEEN, j))
+    after = t1_to_t2(labelled_type(QUEEN.reorient(j), cfg), QUEEN.reorient(j))
     for (i, jj, k, side), (i2, jj2, k2, side2) in zip(before.triples, after.triples):
         assert (i, jj, k) == (i2, jj2, k2)
         if jj == j:
