@@ -55,14 +55,7 @@ def contains_open(board: Board, scale: int, p: Point) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LatticeBoard:
-    board: Board
-    n: int
-    cells: tuple[tuple[int, int], ...]
-
-
-def lattice_points(board: Board, n: int) -> LatticeBoard:
+def lattice_points(board: Board, n: int) -> tuple[tuple[int, int], ...]:
     """Integer points strictly inside (n+1) * board, in lexicographic order.
 
     Runs the strict edge tests of `contains_open` in integers.  Scaled by
@@ -82,13 +75,12 @@ def lattice_points(board: Board, n: int) -> LatticeBoard:
         edges.append((ex * den, ey * den, scale * (ey * ax - ex * ay)))
     xs = [x for x, _ in verts]
     ys = [y for _, y in verts]
-    cells = [
+    return tuple(
         (x, y)
         for x in range(scale * min(xs) // den, -(-scale * max(xs) // den) + 1)
         for y in range(scale * min(ys) // den, -(-scale * max(ys) // den) + 1)
         if all(e * y - f * x + g > 0 for e, f, g in edges)
-    ]
-    return LatticeBoard(board, n, tuple(cells))
+    )
 
 
 def parse_board(text: str) -> Board:

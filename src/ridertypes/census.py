@@ -19,7 +19,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .boards import Board, lattice_points
 from .geometry import (
@@ -97,7 +97,7 @@ def count_nonattacking(ms: MoveSet, board: Board, n: int, q: int) -> int:
     """
     if q < 1 or n < 1:
         raise GeometryError("need q >= 1 and n >= 1")
-    cells = lattice_points(board, n).cells
+    cells = lattice_points(board, n)
     if q == 1:
         return len(cells)
     lines, stars = line_masks(ms, cells)
@@ -122,7 +122,7 @@ def grid_census(ms: MoveSet, board: Board, n: int, q: int) -> Census:
     """
     if q < 1 or n < 1:
         raise GeometryError("need q >= 1 and n >= 1")
-    cells = lattice_points(board, n).cells
+    cells = lattice_points(board, n)
     rays = [(m.c, m.d) for m in region_numbering(ms)]
     pairs = [(i, k) for i in range(q) for k in range(q) if i != k]
     _lines, masks = line_masks(ms, cells)
@@ -419,11 +419,14 @@ def cache_key(kind: str, payload: dict) -> str:
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-def cache_load(cache_dir: str | os.PathLike | None, key: str) -> dict | None:
-    """The cached entry for `key`, or None on a miss.
+def cache_load(cache_dir: str | os.PathLike | None, key: str,
+               decode: Callable[[dict], object] = lambda entry: entry):
+    """`decode` of the cached entry for `key`, or None on a miss.
 
-    An entry that does not parse as a JSON object counts as a miss and is
-    noted on stderr; the caller recomputes it and `cache_store` replaces it.
+    An entry that does not parse as a JSON object, or that `decode` cannot
+    read (a missing key, a value of the wrong type or form), counts as a miss
+    and is noted on stderr; the caller recomputes it and `cache_store`
+    replaces it.
     """
     if cache_dir is None:
         return None
@@ -431,14 +434,14 @@ def cache_load(cache_dir: str | os.PathLike | None, key: str) -> dict | None:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+        if isinstance(data, dict):
+            return decode(data)
     except FileNotFoundError:
         return None
-    except ValueError:  # bad JSON or bad UTF-8
-        data = None
-    if not isinstance(data, dict):
-        print(f"cache entry {path} does not parse; recomputing", file=sys.stderr)
-        return None
-    return data
+    except (LookupError, TypeError, ValueError, AttributeError):
+        pass  # ValueError also covers bad JSON and bad UTF-8
+    print(f"cache entry {path} does not parse as an entry; recomputing", file=sys.stderr)
+    return None
 
 
 def cache_store(cache_dir: str | os.PathLike | None, key: str, data: dict) -> None:

@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -110,9 +111,9 @@ def _ff_prime_counts(ms: MoveSet, q: int, primes: list[int],
     missing: dict[int, str] = {}  # prime -> cache key
     for p in primes:
         key = cache_key("prime-count", {"moves": str(ms), "q": q, "p": p})
-        hit = cache_load(cache_dir, key)
+        hit = cache_load(cache_dir, key, lambda entry: operator.index(entry["count"]))
         if hit is not None:
-            counts[p] = int(hit["count"])
+            counts[p] = hit
         else:
             missing[p] = key
     workers = min(threads, len(missing), os.cpu_count() or 1)
@@ -168,10 +169,10 @@ def cmd_types(args) -> int:
             "window": args.window, "samples": args.samples, "seed": args.seed,
             "refinement": args.refinement,
         })
-        cached = cache_load(cache_dir, key)
+        cached = cache_load(cache_dir, key, census_from_dict)
         if cached is not None:
             _log(f"cache hit for {args.engine} census")
-            result = census_from_dict(cached)
+            result = cached
         elif args.engine == "geometric":
             result = geometric_census(ms, args.q, args.refinement)
         elif args.engine == "random":

@@ -203,23 +203,16 @@ def _lagrange(points: list[tuple[int, int]]) -> list[Fraction]:
     return coeffs
 
 
-def char_poly(ms: MoveSet, q: int, primes: list[int],
-              counts: dict[int, int] | None = None) -> CharPoly:
+def char_poly(q: int, primes: list[int], counts: dict[int, int]) -> CharPoly:
     """Interpolate the degree-2q characteristic polynomial through the
-    per-prime counts, then verify it: monic, divisible by t^2, integer
+    per-prime torus counts, then verify it: monic, divisible by t^2, integer
     coefficients, and an exact fit on every prime beyond the first 2q+1.
-
-    `counts` may carry precomputed torus counts (cache support).
     """
     need = 2 * q + 1
     if len(primes) < need:
         raise GeometryError(f"need at least {need} primes for degree {2 * q}")
     if len(set(primes)) != len(primes):
         raise GeometryError("primes must be pairwise distinct")
-    counts = dict(counts or {})
-    for p in primes:
-        if p not in counts:
-            counts[p] = torus_count(ms, q, p).count
     base, validation = primes[:need], primes[need:]
     coeffs = _lagrange([(p, counts[p]) for p in base])
     if any(c.denominator != 1 for c in coeffs):
@@ -270,7 +263,7 @@ def ff_type_count(ms: MoveSet, q: int, prime_floor: int = 11, attempts: int = 3,
         primes = valid_primes_from(ms, floor, 2 * q + 1 + VALIDATION_PRIMES)
         counts = count(primes)
         try:
-            poly = char_poly(ms, q, primes, counts)
+            poly = char_poly(q, primes, counts)
         except ExceptionalPrimeError as exc:
             last_error = exc
             floor = primes[-1] + 1

@@ -383,98 +383,41 @@ def region_representatives(arr: LineArrangement) -> list[Point]:
     return [pts[0] for pts in region_sample_points(arr, 1).values()]
 
 
-# -- projective maps ---------------------------------------------------------
-
-Matrix3 = tuple[tuple[Fraction, ...], ...]
-
-
-def _det3(m: Matrix3) -> Fraction:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
+# -- linear maps -------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ProjectiveMap:
-    m: Matrix3
+class LinearMap:
+    """The invertible linear map (x, y) -> (a*x + b*y, c*x + d*y).
+
+    Linear maps are the maps that carry riders: parallel move lines stay
+    parallel, so nonattacking configurations and their types go along, and
+    any three slopes can be sent to any three (`slope_correspondence_map`).
+    A non-affine projective map sends parallel lines to concurrent ones.
+    """
+
+    a: Fraction
+    b: Fraction
+    c: Fraction
+    d: Fraction
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(v) for v in row) for row in self.m)
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise GeometryError("projective map needs a 3x3 matrix")
-        object.__setattr__(self, "m", rows)
-        if _det3(rows) == 0:
-            raise GeometryError("projective map must be invertible")
+        for name in "abcd":
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
+        if self.a * self.d == self.b * self.c:
+            raise GeometryError("linear map must be invertible")
 
-    def is_affine(self) -> bool:
-        return self.m[2][0] == 0 and self.m[2][1] == 0
+    def point(self, p: Point) -> Point:
+        return Point(self.a * p.x + self.b * p.y, self.c * p.x + self.d * p.y)
 
+    def move(self, m: BasicMove) -> BasicMove:
+        """Image direction, scaled to a primitive integer move."""
+        vx = self.a * m.c + self.b * m.d
+        vy = self.c * m.c + self.d * m.d
+        den = lcm(vx.denominator, vy.denominator)
+        return BasicMove(int(vx * den), int(vy * den))
 
-IDENTITY_MAP = ProjectiveMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-
-
-def apply_projective(pmap: ProjectiveMap, p: Point) -> Point:
-    """Image of a point under the map, via homogeneous coordinates."""
-    m = pmap.m
-    w = m[2][0] * p.x + m[2][1] * p.y + m[2][2]
-    if w == 0:
-        raise GeometryError(f"{p} maps to the line at infinity")
-    x = m[0][0] * p.x + m[0][1] * p.y + m[0][2]
-    y = m[1][0] * p.x + m[1][1] * p.y + m[1][2]
-    return Point(x / w, y / w)
-
-
-def apply_projective_move(pmap: ProjectiveMap, move: BasicMove) -> BasicMove:
-    """Image of a direction under the linear part of an affine map."""
-    if not pmap.is_affine():
-        raise GeometryError("direction images are anchor-dependent for non-affine maps")
-    m = pmap.m
-    vx = m[0][0] * move.c + m[0][1] * move.d
-    vy = m[1][0] * move.c + m[1][1] * move.d
-    den = vx.denominator * vy.denominator // gcd(vx.denominator, vy.denominator)
-    ix, iy = int(vx * den), int(vy * den)
-    if ix == 0 and iy == 0:
-        raise GeometryError("move collapses to zero under the map")
-    return BasicMove(ix, iy)
-
-
-def apply_projective_moveset(pmap: ProjectiveMap, ms: MoveSet) -> MoveSet:
-    """Image move set; raises on slope collisions after mapping."""
-    moves = tuple(apply_projective_move(pmap, m) for m in ms.moves)
-    try:
-        return MoveSet(moves)
-    except GeometryError as exc:
-        raise GeometryError(f"slope collision after mapping: {exc}") from exc
-
-
-def _nullspace_vector(rows: list[list[Fraction]], n: int) -> list[Fraction]:
-    # One nonzero solution of a homogeneous system with more unknowns than rows.
-    rows = [row[:] for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [v / inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    free = next(c for c in range(n) if c not in pivots)
-    sol = [Fraction(0)] * n
-    sol[free] = Fraction(1)
-    for r, col in enumerate(pivots):
-        sol[col] = -rows[r][free]
-    return sol
+    def moveset(self, ms: MoveSet) -> MoveSet:
+        return MoveSet(tuple(self.move(m) for m in ms.moves))
 
 
 def _slope_direction(s: Slope) -> tuple[int, int]:
@@ -483,31 +426,30 @@ def _slope_direction(s: Slope) -> tuple[int, int]:
     return (s.denominator, s.numerator)
 
 
-def slope_correspondence_map(src: Sequence[Slope], dst: Sequence[Slope]) -> ProjectiveMap:
-    """A projective (in fact linear) map of the plane carrying three distinct
-    slopes to three distinct slopes, in order.
+def _frame(slopes: Sequence[Slope], side: str) -> tuple[Fraction, ...]:
+    # entries a, b, c, d of the map sending the directions (1, 0), (0, 1) and
+    # (1, 1) to those of the three slopes: its columns are s*u1 and t*u2,
+    # where u3 = s*u1 + t*u2 (Cramer's rule)
+    if len(set(slopes)) != 3:
+        raise GeometryError(f"{side} slopes must be distinct")
+    (x1, y1), (x2, y2), (x3, y3) = map(_slope_direction, slopes)
+    det = x1 * y2 - y1 * x2
+    s = Fraction(x3 * y2 - y3 * x2, det)
+    t = Fraction(x1 * y3 - y1 * x3, det)
+    return (s * x1, t * x2, s * y1, t * y2)
 
-    A linear map [[a,b],[c,d]] sends the direction of slope mu to one of slope
-    (c + d*mu) / (a + b*mu); three prescribed slope pairs give a homogeneous
-    3x4 system whose one-dimensional nullspace is the map, unique up to scale.
-    """
+
+def slope_correspondence_map(src: Sequence[Slope], dst: Sequence[Slope]) -> LinearMap:
+    """A linear map of the plane carrying three distinct slopes to three
+    distinct slopes, in order: F(dst) * F(src)^-1, where F(u) sends the
+    directions (1, 0), (0, 1), (1, 1) to those of u."""
     if len(src) != 3 or len(dst) != 3:
         raise GeometryError("slope correspondence needs exactly three slopes per side")
-    if len({id(s) if s is INFINITY else s for s in src}) != 3:
-        raise GeometryError("source slopes must be distinct")
-    rows = []
-    for s, t in zip(src, dst):
-        ux, uy = _slope_direction(s)
-        # image (a*ux + b*uy, c*ux + d*uy) must be parallel to direction of t
-        tx, ty = _slope_direction(t)
-        # cross((tx,ty), (wx,wy)) = tx*wy - ty*wx = 0
-        rows.append([
-            Fraction(-ty * ux), Fraction(-ty * uy),
-            Fraction(tx * ux), Fraction(tx * uy),
-        ])
-    a, b, c, d = _nullspace_vector(rows, 4)
-    pmap = ProjectiveMap(((a, b, 0), (c, d, 0), (0, 0, 1)))
-    return pmap
+    a, b, c, d = _frame(src, "source")
+    e, f, g, h = _frame(dst, "destination")
+    det = a * d - b * c
+    return LinearMap((e * d - f * c) / det, (f * a - e * b) / det,
+                     (g * d - h * c) / det, (h * a - g * b) / det)
 
 
 # -- parsing -----------------------------------------------------------------

@@ -41,7 +41,7 @@ def nonattacking_cell_sets(ms, cells, q: int):
 
 def brute_force_labelled(ms, board, n: int, q: int) -> int:
     """Nonattacking labelled placements by direct enumeration of cell sets."""
-    cells = lattice_points(board, n).cells
+    cells = lattice_points(board, n)
     sets = sum(1 for _ in nonattacking_cell_sets(ms, cells, q))
     return sets * math.factorial(q)
 
@@ -50,7 +50,7 @@ def brute_force_grid_types(ms, board, n: int, q: int):
     """Grid census by direct typing: `labelled_type` on every nonattacking
     placement of q pieces on the order-n board.  Returns (set of unlabelled
     types, number of cells)."""
-    cells = lattice_points(board, n).cells
+    cells = lattice_points(board, n)
     types = {
         canonical_unlabelled(labelled_type(ms, Config(tuple(point(x, y) for x, y in combo))))
         for combo in nonattacking_cell_sets(ms, cells, q)

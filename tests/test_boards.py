@@ -17,22 +17,21 @@ from ridertypes.geometry import GeometryError, Point, point
 
 
 def test_square_order_three_is_the_grid():
-    lb = lattice_points(SQUARE, 3)
-    assert set(lb.cells) == {(x, y) for x in (1, 2, 3) for y in (1, 2, 3)}
+    assert set(lattice_points(SQUARE, 3)) == {(x, y) for x in (1, 2, 3) for y in (1, 2, 3)}
 
 
 def test_square_order_one():
-    assert lattice_points(SQUARE, 1).cells == ((1, 1),)
+    assert lattice_points(SQUARE, 1) == ((1, 1),)
 
 
 def test_triangle_order_three():
     # strictly inside 4 * triangle: x >= 1, y >= 1, x + y <= 3
-    assert set(lattice_points(TRIANGLE, 3).cells) == {(1, 1), (1, 2), (2, 1)}
+    assert set(lattice_points(TRIANGLE, 3)) == {(1, 1), (1, 2), (2, 1)}
 
 
 def test_square_counts_match_n_squared():
     for n in range(1, 51):
-        assert len(lattice_points(SQUARE, n).cells) == n * n
+        assert len(lattice_points(SQUARE, n)) == n * n
 
 
 def test_contains_open_square():
@@ -44,7 +43,7 @@ def test_contains_open_square():
 def test_cells_agree_with_contains_open():
     for board in (SQUARE, TRIANGLE):
         for n in (2, 5):
-            cells = set(lattice_points(board, n).cells)
+            cells = set(lattice_points(board, n))
             for x in range(-1, n + 3):
                 for y in range(-1, n + 3):
                     inside = contains_open(board, n + 1, point(x, y))
@@ -64,12 +63,12 @@ def test_cells_equal_contains_open_in_order():
                 for y in range(math.floor(min(ys) * s), math.ceil(max(ys) * s) + 1)
                 if contains_open(board, s, point(x, y))
             )
-            assert lattice_points(board, n).cells == want
+            assert lattice_points(board, n) == want
 
 
 def test_cell_counts_monotone():
     for board in (SQUARE, TRIANGLE):
-        sizes = [len(lattice_points(board, n).cells) for n in range(1, 16)]
+        sizes = [len(lattice_points(board, n)) for n in range(1, 16)]
         assert sizes == sorted(sizes)
 
 

@@ -298,19 +298,17 @@ def test_projective_transport_preserves_census():
 
     from ridertypes.geometry import (
         INFINITY,
-        apply_projective,
-        apply_projective_moveset,
         point,
         slope_correspondence_map,
     )
     from ridertypes.signature import Config, is_nonattacking, labelled_type
 
     src_ms = FIG1  # slopes 0, 2, -2
-    pmap = slope_correspondence_map(
+    lmap = slope_correspondence_map(
         [Fraction(0), Fraction(2), Fraction(-2)],
         [Fraction(0), Fraction(1), INFINITY],
     )
-    dst_ms = apply_projective_moveset(pmap, src_ms)
+    dst_ms = lmap.moveset(src_ms)
     assert geometric_census(src_ms, 3).size == geometric_census(dst_ms, 3).size == 17
 
     rng = random_mod.Random(2718)
@@ -324,7 +322,7 @@ def test_projective_transport_preserves_census():
         cfg = Config(pieces)
         if not is_nonattacking(src_ms, cfg):
             continue
-        image = Config(tuple(apply_projective(pmap, p) for p in pieces))
+        image = Config(tuple(lmap.point(p) for p in pieces))
         assert is_nonattacking(dst_ms, image)
         seen_src.add(labelled_type(src_ms, cfg).key())
         seen_dst.add(labelled_type(dst_ms, image).key())

@@ -74,23 +74,37 @@ def test_types_cache_round_trip(tmp_path, capsys):
 
 
 def test_corrupt_cache_entries_are_recomputed(tmp_path, capsys):
-    args = ("--cache-dir", str(tmp_path), "types", "--moves", "trident",
-            "--q", "2", "--engine", "ff")
-    code1, out1, _ = run_cli(capsys, *args)
+    ff = ("--cache-dir", str(tmp_path), "types", "--moves", "trident",
+          "--q", "2", "--engine", "ff")
+    geometric = ff[:-1] + ("geometric",)
+    code1, out1, _ = run_cli(capsys, *ff)
     assert code1 == 0
     entries = sorted(tmp_path.iterdir())
     assert len(entries) == 7 and all(e.suffix == ".json" for e in entries)
+    code_g, out_g, _ = run_cli(capsys, *geometric)
+    assert code_g == 0
+    (census_entry,) = set(tmp_path.iterdir()) - set(entries)
     entries[0].write_text('{"count": 12')  # cut short
     entries[1].write_bytes(b"\xff\xfe")  # not UTF-8
     entries[2].write_text("[1, 2]")  # not an object
-    code2, out2, err2 = run_cli(capsys, *args)
-    assert code2 == 0
-    assert out2 == out1
-    assert err2.count("does not parse") == 3
-    assert "Traceback" not in err2
-    assert sorted(tmp_path.iterdir()) == entries  # no temporary files left
-    for entry in entries[:3]:
+    entries[3].write_text("{}")  # parses, but has no count
+    entries[4].write_text('{"count": "x"}')  # count not an integer
+    entries[5].write_text('{"count": null}')
+    entries[6].write_text('{"count": 12.5}')  # int() would truncate it
+    census_entry.write_text("{}")  # parses, but has no types
+    code2, out2, err2 = run_cli(capsys, *ff)
+    code3, out3, err3 = run_cli(capsys, *geometric)
+    assert (code2, out2, code3, out3) == (0, out1, 0, out_g)
+    assert err2.count("does not parse") == 7
+    assert err3.count("does not parse") == 1
+    assert "Traceback" not in err2 + err3
+    # no temporary files left
+    assert sorted(tmp_path.iterdir()) == sorted(entries + [census_entry])
+    for entry in entries:
         assert json.loads(entry.read_text())["count"] > 0
+    code4, out4, err4 = run_cli(capsys, *geometric)
+    assert (code4, out4) == (0, out_g)
+    assert "cache hit" in err4 and "does not parse" not in err4
 
 
 def test_threads_below_one_rejected(capsys):

@@ -126,14 +126,19 @@ def test_last_level_matches_naive_randomized():
         assert last_level_count(p, lines) == naive_uncovered(p, lines)
 
 
+def counted(ms, q, primes):
+    """`primes` and the torus count of each, as `char_poly` takes them."""
+    return primes, {p: torus_count(ms, q, p).count for p in primes}
+
+
 def test_char_poly_q1():
-    poly = char_poly(TRIDENT, 1, valid_primes_from(TRIDENT, 3, 4))
+    poly = char_poly(1, *counted(TRIDENT, 1, valid_primes_from(TRIDENT, 3, 4)))
     assert poly.coefficients == (0, 0, 1)
 
 
 def test_char_poly_q2_queen():
     # t^2 (t - 1) (t - 3)
-    poly = char_poly(QUEEN, 2, valid_primes_from(QUEEN, 5, 7))
+    poly = char_poly(2, *counted(QUEEN, 2, valid_primes_from(QUEEN, 5, 7)))
     assert poly.coefficients == (0, 0, 3, -4, 1)
     assert poly(-1) == 8
 
@@ -143,17 +148,18 @@ def test_char_poly_validates_held_out_primes():
     counts = {p: torus_count(QUEEN, 2, p).count for p in primes}
     counts[primes[-1]] += 1  # corrupt one validation prime
     with pytest.raises(ExceptionalPrimeError) as err:
-        char_poly(QUEEN, 2, primes, counts)
+        char_poly(2, primes, counts)
     assert str(primes[-1]) in str(err.value)
 
 
 def test_char_poly_needs_enough_primes():
+    primes, counts = counted(QUEEN, 3, [5, 7, 11])
     with pytest.raises(GeometryError):
-        char_poly(QUEEN, 3, [5, 7, 11])
+        char_poly(3, primes, counts)
 
 
 def test_chi_at_minus_one_r3_q3():
-    poly = char_poly(TRIDENT, 3, valid_primes_from(TRIDENT, 5, 8))
+    poly = char_poly(3, *counted(TRIDENT, 3, valid_primes_from(TRIDENT, 5, 8)))
     assert poly(-1) == 102  # 17 unlabelled types, q! = 6 labelings each
 
 

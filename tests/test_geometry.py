@@ -1,5 +1,5 @@
 """Exact-geometry unit tests: predicates, Steiner counts, slab sampling,
-projective maps.  Randomized properties run here at reduced volume; the full
+linear maps.  Randomized properties run here at reduced volume; the full
 volumes live in the acceptance suite."""
 
 from __future__ import annotations
@@ -15,17 +15,13 @@ from ridertypes.geometry import (
     BasicMove,
     GeometryError,
     IDENTICAL,
-    IDENTITY_MAP,
     INFINITY,
+    LinearMap,
     MoveSet,
     OrientedLine,
     PARALLEL,
     Point,
-    ProjectiveMap,
     Side,
-    apply_projective,
-    apply_projective_move,
-    apply_projective_moveset,
     arrangement,
     configuration_arrangement,
     intersect,
@@ -220,53 +216,71 @@ def test_integer_slab_matches_fraction_reference():
 
 
 def test_identity_map_fixes_everything():
+    identity = LinearMap(1, 0, 0, 1)
     p = point(Fraction(3, 7), -2)
-    assert apply_projective(IDENTITY_MAP, p) == p
-    assert apply_projective_moveset(IDENTITY_MAP, QUEEN) == QUEEN
+    assert identity.point(p) == p
+    assert identity.moveset(QUEEN) == QUEEN
 
 
 def test_shear_shifts_slopes_by_one():
-    shear = ProjectiveMap(((1, 0, 0), (1, 1, 0), (0, 0, 1)))
+    shear = LinearMap(1, 0, 1, 1)
     for m in QUEEN.moves:
-        image = apply_projective_move(shear, m)
+        image = shear.move(m)
         if m.c != 0:
             assert slope_of(image) == slope_of(m) + 1
         else:
             assert slope_of(image) is INFINITY
 
 
+def test_singular_linear_map_rejected():
+    for entries in ((1, 0, 0, 0), (1, 2, 2, 4), (0, 0, 0, 0), (Fraction(1, 2), 3, 1, 6)):
+        with pytest.raises(GeometryError):
+            LinearMap(*entries)
+
+
+def test_linear_map_move_is_primitive():
+    m = LinearMap(Fraction(1, 2), 0, 0, Fraction(-1, 3)).move(BasicMove(1, 1))
+    assert (m.c, m.d) == (3, -2)
+
+
 def test_slope_correspondence_zero_two_minustwo():
     src = [Fraction(0), Fraction(2), Fraction(-2)]
     dst = [Fraction(0), Fraction(1), INFINITY]
-    pmap = slope_correspondence_map(src, dst)
-    ms = parse_moves("1,0;1,2;1,-2")
-    image = apply_projective_moveset(pmap, ms)
+    lmap = slope_correspondence_map(src, dst)
+    image = lmap.moveset(parse_moves("1,0;1,2;1,-2"))
     assert [slope_of(m) for m in image.moves] == dst
+    # seeded random triples; INFINITY turns up on either side, and on both
+    rng = random.Random(31415)
+    pool = [INFINITY, *sorted({Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3, 5)})]
+    where_infinity = set()
+    for _ in range(300):
+        src, dst = rng.sample(pool, 3), rng.sample(pool, 3)
+        where_infinity.add((INFINITY in src, INFINITY in dst))
+        lmap = slope_correspondence_map(src, dst)
+        assert isinstance(lmap, LinearMap)
+        for s, t in zip(src, dst):
+            u = BasicMove(0, 1) if s is INFINITY else BasicMove(s.denominator, s.numerator)
+            assert slope_of(lmap.move(u)) == t
+    assert len(where_infinity) == 4
 
 
-def test_projective_point_to_infinity_raises():
-    pmap = ProjectiveMap(((1, 0, 0), (0, 1, 0), (1, 0, 1)))
-    assert apply_projective(pmap, point(1, 4)) == Point(Fraction(1, 2), Fraction(2))
-    with pytest.raises(GeometryError):
-        apply_projective(pmap, point(-1, 5))
-    with pytest.raises(GeometryError):
-        ProjectiveMap(((1, 0, 0), (0, 1, 0), (1, 0, 0)))
-
-
-def test_non_affine_moveset_mapping_rejected():
-    pmap = ProjectiveMap(((1, 0, 0), (0, 0, 1), (0, 1, 0)))
-    with pytest.raises(GeometryError):
-        apply_projective_moveset(pmap, QUEEN)
+def test_slope_correspondence_input_checks():
+    zero, one = Fraction(0), Fraction(1)
+    for src, dst in (([zero, one], [zero, one, INFINITY]),
+                     ([zero, one, INFINITY], [zero, one]),
+                     ([zero, one, zero], [zero, one, INFINITY]),
+                     ([zero, one, INFINITY], [INFINITY, one, INFINITY])):
+        with pytest.raises(GeometryError):
+            slope_correspondence_map(src, dst)
 
 
 def test_affine_map_preserves_steiner_count():
-    pmap = ProjectiveMap(((2, 1, 3), (0, 2, -1), (0, 0, 1)))
+    lmap = LinearMap(2, 1, 0, 2)
     rng = random.Random(99)
     for _ in range(20):
         arr = random_arrangement(rng)
         image = arrangement([
-            OrientedLine(apply_projective(pmap, ln.anchor),
-                         apply_projective_move(pmap, ln.direction))
+            OrientedLine(lmap.point(ln.anchor), lmap.move(ln.direction))
             for ln in arr.lines
         ])
         assert steiner_count(image) == steiner_count(arr)

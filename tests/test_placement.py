@@ -62,7 +62,7 @@ def test_pair_count_on_board_subsets():
     for ms in MOVESETS:
         for board in (SQUARE, TRIANGLE):
             for n in (1, 2, 4, 7):
-                cells = lattice_points(board, n).cells
+                cells = lattice_points(board, n)
                 lines, _stars = line_masks(ms, cells)
                 check_random_subsets(rng, ms, cells, lines)
 
@@ -133,6 +133,6 @@ def test_nonattacking_sets_on_board_subsets():
     for ms in MOVESETS:
         for board in (SQUARE, TRIANGLE):
             for n in (1, 3, 5):
-                cells = lattice_points(board, n).cells
+                cells = lattice_points(board, n)
                 _lines, stars = line_masks(ms, cells)
                 check_nonattacking_sets(rng, ms, cells, stars.__getitem__)
