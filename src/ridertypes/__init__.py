@@ -31,7 +31,7 @@ from .census import (
     random_census,
     stabilized_census,
 )
-from .finitefield import char_poly, last_level_count, torus_count, types_ff, valid_prime
+from .finitefield import char_poly, ff_type_count, last_level_count, torus_count, valid_prime
 from .formulas import (
     QuasiPoly,
     eval_quasipoly,
@@ -62,6 +62,7 @@ __all__ = [
     "char_poly",
     "count_nonattacking",
     "eval_quasipoly",
+    "ff_type_count",
     "fit_quasipoly",
     "fours_witness",
     "geometric_census",
@@ -81,7 +82,6 @@ __all__ = [
     "stabilized_census",
     "t3_closed_form",
     "torus_count",
-    "types_ff",
     "types_from_counts",
     "valid_prime",
 ]

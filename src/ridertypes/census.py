@@ -45,13 +45,16 @@ from .signature import (
     Config,
     LabelledType,
     UnlabelledType,
+    antipode,
     canonical_unlabelled,
     cone_of,
     cone_of_pattern,
+    key_pairs,
     labelled_type,
     orbit_size,
     region_numbering,
     type_from_dict,
+    type_from_key,
     type_to_dict,
 )
 
@@ -105,13 +108,8 @@ def count_nonattacking(ms: MoveSet, board: Board, n: int, q: int) -> int:
     return sets * math.factorial(q)
 
 
-def _key_to_type(key: tuple[int, ...], q: int, r: int) -> LabelledType:
-    pairs = itertools.permutations(range(1, q + 1), 2)  # (1, 2), (1, 3), ..., (q, q - 1)
-    return LabelledType(q, r, tuple((i, k, g) for (i, k), g in zip(pairs, key)))
-
-
 def _keys_to_types(keys: Iterable[tuple[int, ...]], q: int, r: int) -> frozenset[UnlabelledType]:
-    return frozenset(canonical_unlabelled(_key_to_type(key, q, r)) for key in keys)
+    return frozenset(canonical_unlabelled(type_from_key(key, q, r)) for key in keys)
 
 
 def grid_census(ms: MoveSet, board: Board, n: int, q: int) -> Census:
@@ -124,7 +122,7 @@ def grid_census(ms: MoveSet, board: Board, n: int, q: int) -> Census:
         raise GeometryError("need q >= 1 and n >= 1")
     cells = lattice_points(board, n)
     rays = [(m.c, m.d) for m in region_numbering(ms)]
-    pairs = [(i, k) for i in range(q) for k in range(q) if i != k]
+    pairs = [(i - 1, k - 1) for i, k in key_pairs(q)]  # indices into pts
     _lines, masks = line_masks(ms, cells)
     # memoized cone per relative displacement: board deltas repeat a lot
     cone = functools.lru_cache(maxsize=None)(lambda dx, dy: cone_of(rays, dx, dy))
@@ -208,7 +206,7 @@ def geometric_census(ms: MoveSet, q: int, refinement: int = 1) -> Census:
     (i-1)*r .. i*r - 1, so that slice of a region's sign vector is the side
     of the new piece on each move line of piece i: its T2 pattern, which
     `cone_of_pattern` turns into the cone index g of the pair (i, new); the
-    pair (new, i) gets the antipodal cone (g + r - 1) mod 2r + 1.
+    pair (new, i) gets the antipodal cone `antipode(g, r)`.
     No attack check is needed: `region_sample_points` drops every point that
     lies on a line of the arrangement, so the new piece is on no move line of
     an earlier piece, hence attacks none of them (attacking is symmetric) and
@@ -219,7 +217,7 @@ def geometric_census(ms: MoveSet, q: int, refinement: int = 1) -> Census:
         raise GeometryError("need q >= 1 and refinement >= 1")
     r = ms.r
     index_of = cone_of_pattern(ms.moves)
-    pairs = [(i, k) for i in range(1, q + 1) for k in range(1, q + 1) if i != k]
+    pairs = key_pairs(q)
     # (pieces, {(i, k): cone index}), pieces labelled 1, 2, ... in order
     level: list[tuple[tuple[Point, ...], dict]] = [((ORIGIN,), {})]
     keys = {()} if q == 1 else set()
@@ -233,7 +231,7 @@ def geometric_census(ms: MoveSet, q: int, refinement: int = 1) -> Census:
                 for i in range(1, new):
                     g = index_of[sv[(i - 1) * r:i * r]]
                     grown[(i, new)] = g
-                    grown[(new, i)] = (g + r - 1) % (2 * r) + 1
+                    grown[(new, i)] = antipode(g, r)
                 if new < q:
                     extended.extend((cfg + (p,), grown) for p in pts)
                 else:
@@ -258,7 +256,6 @@ def random_census(ms: MoveSet, q: int, samples: int, seed: int = 0) -> Census:
         raise GeometryError("need samples >= 1")
     rng = random.Random(seed)
     keys = set()
-    full_types = set()
     accepted = 0
     for _ in range(samples):
         pieces = tuple(
@@ -276,11 +273,9 @@ def random_census(ms: MoveSet, q: int, samples: int, seed: int = 0) -> Census:
         except AttackError:
             continue
         accepted += 1
-        if t.key() not in keys:
-            keys.add(t.key())
-            full_types.add(canonical_unlabelled(t))
+        keys.add(t.key())
     return Census(
-        ms, q, "random", frozenset(full_types), False,
+        ms, q, "random", _keys_to_types(keys, q, ms.r), False,
         {"samples": samples, "seed": seed, "nonattacking": accepted},
     )
 
@@ -362,7 +357,7 @@ def fours_witness(ms: MoveSet) -> FoursWitness | None:
     p3_a, p3_b = (_toward_nearest(across, walls, Fraction(f, 2)) for f in (-1, 1))
     ra, rb = (_reachable_keys(ms, (p1, p2, p3)) for p3 in (p3_a, p3_b))
     return FoursWitness(p1, p2, p3_a, p3_b, sign_vector(arr12, p3_a),
-                        _key_to_type(min(ra ^ rb), 4, ms.r))
+                        type_from_key(min(ra ^ rb), 4, ms.r))
 
 
 def witness_checks(ms: MoveSet, w: FoursWitness) -> dict[str, bool]:
@@ -420,7 +415,7 @@ def cache_key(kind: str, payload: dict) -> str:
 
 
 def cache_load(cache_dir: str | os.PathLike | None, key: str,
-               decode: Callable[[dict], object] = lambda entry: entry):
+               decode: Callable[[dict], object]):
     """`decode` of the cached entry for `key`, or None on a miss.
 
     An entry that does not parse as a JSON object, or that `decode` cannot

@@ -37,6 +37,7 @@ from .finitefield import (
     ff_type_count,
     torus_count,
     valid_primes_from,  # unused here; bench/run.py traces cli.valid_primes_from
+    valid_torus_count,
 )
 from .formulas import (
     eval_quasipoly,
@@ -105,13 +106,20 @@ def _resolve_moves(text: str) -> MoveSet:
     return parse_moves(PIECES.get(text, text))
 
 
-def _ff_prime_counts(ms: MoveSet, q: int, primes: list[int],
-                     threads: int, cache_dir: str | None) -> dict[int, int]:
+def _cached_count(q: int, p: int, entry: dict) -> int:
+    count = operator.index(entry["count"])
+    if not valid_torus_count(q, p, count):  # a miss, like an entry that does not parse
+        raise ValueError(f"count {count} breaks the torus invariant at p = {p}")
+    return count
+
+
+def _torus_counts(ms: MoveSet, q: int, primes: list[int],
+                  threads: int, cache_dir: str | None) -> dict[int, int]:
     counts: dict[int, int] = {}
     missing: dict[int, str] = {}  # prime -> cache key
     for p in primes:
         key = cache_key("prime-count", {"moves": str(ms), "q": q, "p": p})
-        hit = cache_load(cache_dir, key, lambda entry: operator.index(entry["count"]))
+        hit = cache_load(cache_dir, key, functools.partial(_cached_count, q, p))
         if hit is not None:
             counts[p] = hit
         else:
@@ -123,7 +131,7 @@ def _ff_prime_counts(ms: MoveSet, q: int, primes: list[int],
             counts.update(zip(missing, results))
     else:
         for p in missing:
-            counts[p] = torus_count(ms, q, p).count
+            counts[p] = torus_count(ms, q, p)
     for p, key in missing.items():
         cache_store(cache_dir, key, {"moves": str(ms), "q": q, "p": p,
                                      "count": counts[p]})
@@ -132,12 +140,12 @@ def _ff_prime_counts(ms: MoveSet, q: int, primes: list[int],
 
 def _torus_worker(args: tuple[str, int, int]) -> int:
     moves, q, p = args
-    return torus_count(parse_moves(moves), q, p).count
+    return torus_count(parse_moves(moves), q, p)
 
 
 def run_ff(ms: MoveSet, q: int, prime_floor: int, threads: int,
            cache_dir: str | None) -> dict:
-    count = functools.partial(_ff_prime_counts, ms, q, threads=threads,
+    count = functools.partial(_torus_counts, ms, q, threads=threads,
                               cache_dir=cache_dir)
     result = ff_type_count(ms, q, prime_floor=prime_floor, count=count)
     return {
@@ -149,8 +157,8 @@ def run_ff(ms: MoveSet, q: int, prime_floor: int, threads: int,
         "labelled": result.labelled,
         "unlabelled": result.unlabelled,
         "charpoly": list(result.poly.coefficients),
-        "primes": [pc.p for pc in result.prime_counts],
-        "prime_counts": {str(pc.p): pc.count for pc in result.prime_counts},
+        "primes": list(result.counts),
+        "prime_counts": {str(p): c for p, c in result.counts.items()},
     }
 
 
@@ -162,28 +170,27 @@ def cmd_types(args) -> int:
     if args.engine == "ff":
         report = run_ff(ms, args.q, args.prime_floor, args.threads, cache_dir)
     else:
-        key = cache_key("census", {
-            "moves": str(ms), "q": args.q, "engine": args.engine,
-            "board": args.board if args.engine == "grid" else None,
-            "n": args.n, "n_start": args.n_start, "n_max": args.n_max,
-            "window": args.window, "samples": args.samples, "seed": args.seed,
-            "refinement": args.refinement,
-        })
+        # each engine's census, and the options it reads: its cache key
+        if args.engine == "geometric":
+            read = {"refinement": args.refinement}
+            run = lambda: geometric_census(ms, args.q, args.refinement)
+        elif args.engine == "random":
+            read = {"samples": args.samples, "seed": args.seed}
+            run = lambda: random_census(ms, args.q, args.samples, args.seed)
+        elif args.n is not None:
+            read = {"board": args.board, "n": args.n}
+            run = lambda: grid_census(ms, board, args.n, args.q)
+        else:
+            read = {"board": args.board, "n_start": args.n_start,
+                    "n_max": args.n_max, "window": args.window}
+            run = lambda: stabilized_census(ms, board, args.q, args.n_start,
+                                            args.n_max, args.window)[0]
+        key = cache_key("census", {"moves": str(ms), "q": args.q,
+                                   "engine": args.engine, **read})
         cached = cache_load(cache_dir, key, census_from_dict)
         if cached is not None:
             _log(f"cache hit for {args.engine} census")
-            result = cached
-        elif args.engine == "geometric":
-            result = geometric_census(ms, args.q, args.refinement)
-        elif args.engine == "random":
-            result = random_census(ms, args.q, args.samples, args.seed)
-        else:
-            if args.n is not None:
-                result = grid_census(ms, board, args.n, args.q)
-            else:
-                result, _report = stabilized_census(
-                    ms, board, args.q, args.n_start, args.n_max, args.window)
-        report = census_to_dict(result)
+        report = census_to_dict(run() if cached is None else cached)
         if cached is None:
             cache_store(cache_dir, key, report)
 

@@ -28,6 +28,10 @@ MAX_PRIME = 257
 # must fit each of them exactly.
 VALIDATION_PRIMES = 2
 
+# Windows of primes `ff_type_count` tries, each above the last, before an
+# exceptional sample is reported.
+ATTEMPTS = 3
+
 
 class ExceptionalPrimeError(RuntimeError):
     """Interpolation detected an inconsistent prime sample."""
@@ -46,14 +50,6 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-def next_prime(n: int) -> int:
-    """Smallest prime >= n."""
-    k = max(2, n)
-    while not is_prime(k):
-        k += 1
-    return k
 
 
 def valid_prime(ms: MoveSet, p: int) -> bool:
@@ -79,7 +75,6 @@ def valid_primes_from(ms: MoveSet, floor: int, count: int) -> list[int]:
     primes = []
     p = max(2, floor)
     while len(primes) < count:
-        p = next_prime(p)
         if p > MAX_PRIME:
             raise GeometryError(
                 f"only {len(primes)} of {count} valid primes from {floor} "
@@ -99,6 +94,7 @@ def _normalize_line(p: int, line: tuple[int, int, int]) -> tuple[int, int, int]:
     return (a * lead % p, b * lead % p, c * lead % p)
 
 
+# Kept with no engine caller: criterion 9 tests it, `bench/run.py --trace 1` wraps it.
 def last_level_count(p: int, lines: list[tuple[int, int, int]]) -> int:
     """Points of F_p x F_p on none of the given lines (a*x + b*y = c mod p).
 
@@ -125,13 +121,17 @@ def last_level_count(p: int, lines: list[tuple[int, int, int]]) -> int:
     return p * p - union
 
 
-@dataclass(frozen=True)
-class PrimeCount:
-    p: int
-    count: int
+def valid_torus_count(q: int, p: int, count: int) -> bool:
+    """The invariant of torus counts: p^2 for q = 1.  For q >= 2 translations
+    and scalings act freely on nonattacking q-tuples, and so do the q!
+    relabellings, so p^2 (p - 1) and q! divide the count, in 0..p^(2q)."""
+    if q == 1:
+        return count == p * p
+    return (0 <= count <= p ** (2 * q) and count % (p * p * (p - 1)) == 0
+            and count % math.factorial(q) == 0)
 
 
-def torus_count(ms: MoveSet, q: int, p: int) -> PrimeCount:
+def torus_count(ms: MoveSet, q: int, p: int) -> int:
     """Number of ordered q-tuples over F_p x F_p with no piece on a move line
     of another.
 
@@ -151,7 +151,7 @@ def torus_count(ms: MoveSet, q: int, p: int) -> PrimeCount:
     if not valid_prime(ms, p):
         raise GeometryError(f"{p} is not a valid prime for move set {ms}")
     if q == 1:
-        return PrimeCount(p, p * p)
+        return p * p
 
     lines, star = torus_line_masks(ms, p)
     avail = ((1 << (p * p)) - 1) & ~star(0)
@@ -162,8 +162,8 @@ def torus_count(ms: MoveSet, q: int, p: int) -> PrimeCount:
         count_sets(avail & ~star(i), q - 2, lines, ms.r, star) for i in reps
     )
     count = p * p * (p - 1) * math.factorial(q - 2) * subtotal
-    assert count % (p * p) == 0 and count <= p ** (2 * q)
-    return PrimeCount(p, count)
+    assert valid_torus_count(q, p, count)
+    return count
 
 
 @dataclass(frozen=True)
@@ -238,47 +238,38 @@ class FFTypeCount:
     labelled: int
     unlabelled: int
     poly: CharPoly
-    prime_counts: tuple[PrimeCount, ...]
+    counts: dict[int, int]  # prime -> torus count, primes increasing
 
 
-def ff_type_count(ms: MoveSet, q: int, prime_floor: int = 11, attempts: int = 3,
+def ff_type_count(ms: MoveSet, q: int, prime_floor: int = 11,
                   count: Callable[[list[int]], dict[int, int]] | None = None
                   ) -> FFTypeCount:
     """Labelled and unlabelled type counts from the finite-field engine.
 
     Primes are the smallest valid ones at or above the floor, plus
-    VALIDATION_PRIMES more; an exceptional sample raises and is retried with
-    larger primes.  `count(primes)` gives the torus count of each prime, for
-    every attempt; the default counts them one by one with `torus_count`.
+    VALIDATION_PRIMES more; an exceptional sample is retried with larger
+    primes, ATTEMPTS windows in all.  `count(primes)` gives the torus count
+    of each prime, for every attempt; the default counts them one by one
+    with `torus_count`.
     """
     if q < 1:
         raise GeometryError("need q >= 1")
-    if attempts < 1:
-        raise GeometryError("need attempts >= 1")
     if count is None:
-        count = lambda primes: {p: torus_count(ms, q, p).count for p in primes}
-    floor = prime_floor
-    last_error: ExceptionalPrimeError | None = None
-    for _ in range(attempts):
-        primes = valid_primes_from(ms, floor, 2 * q + 1 + VALIDATION_PRIMES)
+        count = lambda primes: {p: torus_count(ms, q, p) for p in primes}
+    for _ in range(ATTEMPTS):
+        primes = valid_primes_from(ms, prime_floor, 2 * q + 1 + VALIDATION_PRIMES)
         counts = count(primes)
         try:
             poly = char_poly(q, primes, counts)
         except ExceptionalPrimeError as exc:
             last_error = exc
-            floor = primes[-1] + 1
+            prime_floor = primes[-1] + 1
             continue
         labelled = poly(-1)
         if labelled < 0 or labelled % math.factorial(q) != 0:
             raise ExceptionalPrimeError(
                 f"chi(-1) = {labelled} is not divisible by {q}! (invariant breach)"
             )
-        pcs = tuple(PrimeCount(p, counts[p]) for p in primes)
-        return FFTypeCount(labelled, labelled // math.factorial(q), poly, pcs)
+        return FFTypeCount(labelled, labelled // math.factorial(q), poly,
+                           {p: counts[p] for p in primes})
     raise last_error
-
-
-def types_ff(ms: MoveSet, q: int, prime_floor: int = 11) -> tuple[int, int]:
-    """(labelled, unlabelled) type counts; see `ff_type_count` for details."""
-    result = ff_type_count(ms, q, prime_floor=prime_floor)
-    return (result.labelled, result.unlabelled)

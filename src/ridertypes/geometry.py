@@ -175,32 +175,12 @@ def side_of(line: OrientedLine, p: Point) -> Side:
     return Side.ON
 
 
-class Parallel:
-    """Returned by `intersect` for distinct parallel lines."""
-
-    def __repr__(self):
-        return "Parallel"
-
-
-class Identical:
-    """Returned by `intersect` when both arguments are the same line."""
-
-    def __repr__(self):
-        return "Identical"
-
-
-PARALLEL = Parallel()
-IDENTICAL = Identical()
-
-
-def intersect(a: OrientedLine, b: OrientedLine):
-    """Intersection point of two lines, or PARALLEL / IDENTICAL."""
+def intersect(a: OrientedLine, b: OrientedLine) -> Point | None:
+    """Intersection point of two lines, or None if they are parallel or equal."""
     d1, d2 = a.direction, b.direction
     denom = d2.c * d1.d - d2.d * d1.c
     if denom == 0:
-        if a.unoriented_key() == b.unoriented_key():
-            return IDENTICAL
-        return PARALLEL
+        return None
     wx, wy = b.anchor - a.anchor
     t = Fraction(d2.c * wy - d2.d * wx, denom)
     return Point(a.anchor.x + t * d1.c, a.anchor.y + t * d1.d)

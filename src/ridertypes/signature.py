@@ -11,7 +11,6 @@ so signatures are reproducible across runs.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -117,6 +116,11 @@ def cone_of_pattern(moves: tuple[BasicMove, ...]) -> dict[tuple[Side, ...], int]
     return {pattern: idx + 1 for idx, pattern in enumerate(_cone_side_patterns(moves))}
 
 
+def antipode(g: int, r: int) -> int:
+    """The cone of piece i around piece k when k lies in cone g around i."""
+    return (g + r - 1) % (2 * r) + 1
+
+
 def is_nonattacking(ms: MoveSet, cfg: Config) -> bool:
     """True iff no piece lies on a move line of another piece."""
     return attack_witness(ms, cfg) is None
@@ -147,15 +151,13 @@ class LabelledType:
         object.__setattr__(self, "entries", entries)
         lookup = {(i, k): region for i, k, region in entries}
         object.__setattr__(self, "_lookup", lookup)
-        expected = {(i, k) for i in range(1, self.q + 1) for k in range(1, self.q + 1) if i != k}
-        if set(lookup) != expected:
+        if set(lookup) != set(key_pairs(self.q)):
             raise GeometryError("labelled type must cover every ordered pair exactly once")
         period = 2 * self.r
         for (i, k), region in lookup.items():
             if not 1 <= region <= period:
                 raise GeometryError(f"region index {region} outside 1..{period}")
-            opposite = (region + self.r - 1) % period + 1
-            if lookup[(k, i)] != opposite:
+            if lookup[(k, i)] != antipode(region, self.r):
                 raise GeometryError(
                     f"antipodal invariant broken at ({i},{k}): "
                     f"{region} vs {lookup[(k, i)]}"
@@ -165,19 +167,20 @@ class LabelledType:
         return self._lookup[(i, k)]
 
     def key(self) -> tuple[int, ...]:
-        """Flattened region indices in sorted (i, k) order."""
+        """Flattened region indices in `key_pairs` order; `type_from_key`
+        inverts it."""
         return tuple(region for _, _, region in self.entries)
 
-    def relabel(self, sigma: Sequence[int]) -> "LabelledType":
-        """Apply a permutation of 1..q: entry (i, k) takes the region of
-        (sigma(i), sigma(k))."""
-        entries = tuple(
-            (i, k, self._lookup[(sigma[i - 1], sigma[k - 1])])
-            for i in range(1, self.q + 1)
-            for k in range(1, self.q + 1)
-            if i != k
-        )
-        return LabelledType(self.q, self.r, entries)
+
+@lru_cache(maxsize=None)
+def key_pairs(q: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (i, k) of pieces 1..q in key order: (1, 2), (1, 3), ..., (q, q - 1)."""
+    return tuple(itertools.permutations(range(1, q + 1), 2))
+
+
+def type_from_key(key: Sequence[int], q: int, r: int) -> LabelledType:
+    """The labelled type whose key is `key`."""
+    return LabelledType(q, r, tuple((i, k, g) for (i, k), g in zip(key_pairs(q), key)))
 
 
 def labelled_type(ms: MoveSet, cfg: Config) -> LabelledType:
@@ -207,24 +210,23 @@ class UnlabelledType:
 
 
 @lru_cache(maxsize=None)
-def _relabellings(q: int) -> tuple[tuple[tuple[int, ...], itemgetter], ...]:
-    # per permutation sigma of 1..q, a getter taking a key to the key of
-    # relabel(sigma): entry (i, k) reads the position of (sigma(i), sigma(k))
-    pairs = [(i, k) for i in range(1, q + 1) for k in range(1, q + 1) if i != k]
+def _relabellings(q: int) -> tuple[itemgetter, ...]:
+    # per permutation sigma of 1..q, a getter from a key to the key relabelled
+    # by sigma: entry (i, k) reads the position of (sigma(i), sigma(k))
+    pairs = key_pairs(q)
     position = {pair: n for n, pair in enumerate(pairs)}
     return tuple(
-        (sigma, itemgetter(*(position[(sigma[i - 1], sigma[k - 1])] for i, k in pairs)))
+        itemgetter(*(position[(sigma[i - 1], sigma[k - 1])] for i, k in pairs))
         for sigma in itertools.permutations(range(1, q + 1))
     )
 
 
 def canonical_unlabelled(t: LabelledType) -> UnlabelledType:
-    """Compares the q! relabelled keys, then builds only the minimum."""
+    """Builds the type of the least of the q! relabelled keys."""
     if t.q == 1:
         return UnlabelledType(t)
     key = t.key()
-    _, best_sigma = min((getter(key), sigma) for sigma, getter in _relabellings(t.q))
-    return UnlabelledType(t.relabel(best_sigma))
+    return UnlabelledType(type_from_key(min(g(key) for g in _relabellings(t.q)), t.q, t.r))
 
 
 def orbit_size(u: UnlabelledType) -> int:
@@ -233,7 +235,7 @@ def orbit_size(u: UnlabelledType) -> int:
     if t.q == 1:
         return 1
     key = t.key()
-    return len({getter(key) for _, getter in _relabellings(t.q)})
+    return len({g(key) for g in _relabellings(t.q)})
 
 
 @dataclass(frozen=True)
@@ -312,11 +314,3 @@ def type_to_dict(t: LabelledType) -> dict:
 def type_from_dict(data: dict) -> LabelledType:
     entries = tuple((int(i), int(k), int(region)) for i, k, region in data["entries"])
     return LabelledType(int(data["q"]), int(data["r"]), entries)
-
-
-def type_to_json(t: LabelledType) -> str:
-    return json.dumps(type_to_dict(t), sort_keys=True)
-
-
-def type_from_json(text: str) -> LabelledType:
-    return type_from_dict(json.loads(text))

@@ -38,7 +38,6 @@ from ridertypes.finitefield import (
     ff_type_count,
     last_level_count,
     torus_count,
-    types_ff,
     valid_prime,
 )
 from ridertypes.formulas import (
@@ -87,9 +86,10 @@ def test_criterion_1_table1_exact_rows():
                 geo_dt = time.time() - t0
                 assert geo.size == expected and geo_dt < 1.0, (str(ms), q)
                 t0 = time.time()
-                ff = types_ff(ms, q)
+                ff = ff_type_count(ms, q)
                 ff_dt = time.time() - t0
-                assert ff == ((1, 1) if q == 1 else (2 * r, r)), (str(ms), q)
+                assert (ff.labelled, ff.unlabelled) == ((1, 1) if q == 1 else (2 * r, r)), \
+                    (str(ms), q)
                 assert ff_dt < 1.0
                 checked += 2
                 if i == 0:
@@ -115,10 +115,10 @@ def test_criterion_2_theorem_q3():
             t0 = time.time()
             geo = geometric_census(ms, 3)
             geo_dt = time.time() - t0
-            labelled, unlabelled = types_ff(ms, 3)
+            ff = ff_type_count(ms, 3)
             assert geo.size == value, (str(ms), geo.size, value)
             assert geo.exact and geo_dt < 1.0, (str(ms), geo_dt)
-            assert (labelled, unlabelled) == (6 * value, value), str(ms)
+            assert (ff.labelled, ff.unlabelled) == (6 * value, value), str(ms)
     report("criterion 2", True,
            "t(3) = r(r^2+3r-1)/3 for r=2..6, three move sets each, "
            "geometric + ff + closed form agree exactly")
@@ -133,7 +133,7 @@ def test_criterion_3_theorem_3move_q4():
         assert dt < 300.0, f"{ms}: {dt:.0f}s"
         results[str(ms)] = res.unlabelled
         assert res.unlabelled == 151, (str(ms), res.unlabelled)
-        assert max(pc.p for pc in res.prime_counts) <= 47
+        assert max(res.counts) <= 47
     assert len(set(results.values())) == 1
     report("criterion 3", True,
            f"three 3-move riders all give 151 unlabelled types at q=4: {results}")
@@ -158,7 +158,7 @@ def test_criterion_5_triple_engine_agreement():
         assert ms.r == r
         for q in (1, 2, 3):
             geo = geometric_census(ms, q)
-            _, ff_unlabelled = types_ff(ms, q)
+            ff_unlabelled = ff_type_count(ms, q).unlabelled
             grid, rep = stabilized_census(ms, SQUARE, q, 1, 16, 2,
                                           confirm_size=ff_unlabelled)
             assert rep.stabilized_at is not None, (str(ms), q)
@@ -314,7 +314,7 @@ def test_criterion_9_property_suites():
             if not valid_prime(ms, p):
                 continue
             for q in (1, 2, 3):
-                assert torus_count(ms, q, p).count == naive_torus_count(ms, q, p), \
+                assert torus_count(ms, q, p) == naive_torus_count(ms, q, p), \
                     (str(ms), q, p)
 
     # algebraic last-level counts vs per-cell iteration, 10^4 random line sets

@@ -24,7 +24,6 @@ from ridertypes.census import (
     random_census,
     stabilized_census,
     witness_checks,
-    _key_to_type,
     _reachable_keys,
 )
 from ridertypes.cli import family_movesets
@@ -37,6 +36,7 @@ from ridertypes.geometry import (
     sign_vector,
     steiner_count,
 )
+from ridertypes.signature import type_from_key
 
 QUEEN = parse_moves("1,0;0,1;1,1;1,-1")
 ROOK = parse_moves("1,0;0,1")
@@ -253,7 +253,7 @@ def test_witness_checks_flag_broken_witnesses():
             (dataclasses.replace(w, p3_b=elsewhere), "one region"),
             (dataclasses.replace(w, p3_b=on_locus), "one locus crossed"),
             (dataclasses.replace(w, p3_b=far), "one locus crossed"),
-            (dataclasses.replace(w, differing_type=_key_to_type(shared, 4, ms.r)),
+            (dataclasses.replace(w, differing_type=type_from_key(shared, 4, ms.r)),
              "reachable sets differ"),
         ):
             assert not witness_checks(ms, broken)[failing], (str(ms), failing)
@@ -272,11 +272,11 @@ def test_census_serialization_round_trip():
 def test_census_cache(tmp_path):
     c = geometric_census(ROOK, 2)
     key = cache_key("census", {"moves": str(ROOK), "q": 2, "engine": "geometric"})
-    assert cache_load(tmp_path, key) is None
+    assert cache_load(tmp_path, key, census_from_dict) is None
     cache_store(tmp_path, key, census_to_dict(c))
-    hit = cache_load(tmp_path, key)
+    hit = cache_load(tmp_path, key, census_from_dict)
     assert hit is not None
-    assert census_from_dict(hit).types == c.types
+    assert hit.types == c.types
 
 
 def test_cache_entry_from_another_schema_is_a_miss(tmp_path, monkeypatch):
@@ -287,7 +287,7 @@ def test_cache_entry_from_another_schema_is_a_miss(tmp_path, monkeypatch):
     assert old_key != key
     cache_store(tmp_path, old_key, census_to_dict(geometric_census(ROOK, 2)))
     monkeypatch.undo()
-    assert cache_load(tmp_path, cache_key("census", payload)) is None
+    assert cache_load(tmp_path, cache_key("census", payload), census_from_dict) is None
 
 
 def test_projective_transport_preserves_census():

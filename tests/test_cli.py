@@ -26,7 +26,7 @@ def brute_queen_pairs_unlabelled(n: int) -> int:
     return sets
 
 
-def test_types_ff_queen_q3(capsys):
+def test_types_engine_ff_queen_q3(capsys):
     code, out, err = run_cli(capsys, "types", "--moves", "queen", "--q", "3",
                              "--engine", "ff", "--check")
     assert code == 0
@@ -75,12 +75,13 @@ def test_types_cache_round_trip(tmp_path, capsys):
 
 def test_corrupt_cache_entries_are_recomputed(tmp_path, capsys):
     ff = ("--cache-dir", str(tmp_path), "types", "--moves", "trident",
-          "--q", "2", "--engine", "ff")
+          "--q", "3", "--engine", "ff")
     geometric = ff[:-1] + ("geometric",)
     code1, out1, _ = run_cli(capsys, *ff)
     assert code1 == 0
     entries = sorted(tmp_path.iterdir())
-    assert len(entries) == 7 and all(e.suffix == ".json" for e in entries)
+    assert len(entries) == 9 and all(e.suffix == ".json" for e in entries)
+    fresh = [json.loads(e.read_text()) for e in entries]
     code_g, out_g, _ = run_cli(capsys, *geometric)
     assert code_g == 0
     (census_entry,) = set(tmp_path.iterdir()) - set(entries)
@@ -91,20 +92,43 @@ def test_corrupt_cache_entries_are_recomputed(tmp_path, capsys):
     entries[4].write_text('{"count": "x"}')  # count not an integer
     entries[5].write_text('{"count": null}')
     entries[6].write_text('{"count": 12.5}')  # int() would truncate it
+    # well formed, but off by one: breaks the torus invariant
+    entries[7].write_text(json.dumps(dict(fresh[7], count=fresh[7]["count"] - 1)))
     census_entry.write_text("{}")  # parses, but has no types
     code2, out2, err2 = run_cli(capsys, *ff)
     code3, out3, err3 = run_cli(capsys, *geometric)
     assert (code2, out2, code3, out3) == (0, out1, 0, out_g)
-    assert err2.count("does not parse") == 7
+    assert err2.count("does not parse") == 8
     assert err3.count("does not parse") == 1
     assert "Traceback" not in err2 + err3
     # no temporary files left
     assert sorted(tmp_path.iterdir()) == sorted(entries + [census_entry])
-    for entry in entries:
-        assert json.loads(entry.read_text())["count"] > 0
+    assert [json.loads(e.read_text()) for e in entries] == fresh
     code4, out4, err4 = run_cli(capsys, *geometric)
     assert (code4, out4) == (0, out_g)
     assert "cache hit" in err4 and "does not parse" not in err4
+
+
+def test_census_cache_key_holds_only_what_the_engine_reads(tmp_path, capsys):
+    base = ("--cache-dir", str(tmp_path), "types", "--moves", "queen", "--q", "2")
+    geometric = base + ("--engine", "geometric")
+    code1, out1, _ = run_cli(capsys, *geometric)
+    code2, out2, err2 = run_cli(capsys, *geometric, "--seed", "5", "--n-max", "9",
+                                "--samples", "7")
+    assert (code1, code2, out2) == (0, 0, out1)
+    assert "cache hit" in err2
+    assert len(list(tmp_path.iterdir())) == 1
+
+    fixed = base + ("--engine", "grid", "--n", "5")
+    run_cli(capsys, *fixed)
+    code, out, err = run_cli(capsys, *fixed, "--window", "3")
+    assert code == 0 and "cache hit" in err
+    stabilized = base + ("--engine", "grid")
+    run_cli(capsys, *stabilized)
+    code, out, err = run_cli(capsys, *stabilized, "--window", "3")
+    assert code == 0 and "cache hit" not in err
+    assert json.loads(out)["metadata"]["window"] == 3
+    assert len(list(tmp_path.iterdir())) == 4
 
 
 def test_threads_below_one_rejected(capsys):
@@ -135,21 +159,21 @@ def test_worker_pool_is_capped(monkeypatch):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     ms = parse_moves(PIECES["trident"])
     primes = valid_primes_from(ms, 11, 5)
-    serial = cli._ff_prime_counts(ms, 2, primes, 1, None)
+    serial = cli._torus_counts(ms, 2, primes, 1, None)
     for cpus, threads, expected in ((3, 64, [3]), (64, 64, [5]), (64, 2, [2]),
                                     (1, 8, []), (None, 8, [])):
         sizes.clear()
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        assert cli._ff_prime_counts(ms, 2, primes, threads, None) == serial
+        assert cli._torus_counts(ms, 2, primes, threads, None) == serial
         assert sizes == expected, (cpus, threads)
 
 
 def test_ff_retry_primes_go_through_the_cache(tmp_path, monkeypatch):
     # the first interpolation fails, so ff_type_count retries with larger
-    # primes; both attempts' primes are counted by _ff_prime_counts and cached
+    # primes; both attempts' primes are counted by _torus_counts and cached
     ms = parse_moves(PIECES["trident"])
     asked = []
-    real_counts = cli._ff_prime_counts
+    real_counts = cli._torus_counts
     real_char_poly = finitefield.char_poly
 
     def recording_counts(ms_, q, primes, **kwargs):
@@ -161,7 +185,7 @@ def test_ff_retry_primes_go_through_the_cache(tmp_path, monkeypatch):
             raise finitefield.ExceptionalPrimeError("forced")
         return real_char_poly(*args)
 
-    monkeypatch.setattr(cli, "_ff_prime_counts", recording_counts)
+    monkeypatch.setattr(cli, "_torus_counts", recording_counts)
     monkeypatch.setattr(finitefield, "char_poly", fail_once)
     report = cli.run_ff(ms, 2, 11, 1, str(tmp_path))
     first = valid_primes_from(ms, 11, 7)
@@ -170,15 +194,15 @@ def test_ff_retry_primes_go_through_the_cache(tmp_path, monkeypatch):
     assert report["unlabelled"] == 3
     for p in asked[0] + asked[1]:
         key = cli.cache_key("prime-count", {"moves": str(ms), "q": 2, "p": p})
-        assert cli.cache_load(str(tmp_path), key)["count"] == \
-            finitefield.torus_count(ms, 2, p).count
+        assert cli.cache_load(str(tmp_path), key, lambda entry: entry["count"]) == \
+            finitefield.torus_count(ms, 2, p)
 
 
 def test_prime_floor_above_ceiling(capsys, monkeypatch):
-    def no_search(n):
+    def no_search(ms, p):
         raise AssertionError("prime search ran")
 
-    monkeypatch.setattr(finitefield, "next_prime", no_search)
+    monkeypatch.setattr(finitefield, "valid_prime", no_search)
     code, out, err = run_cli(capsys, "types", "--moves", "queen", "--q", "3",
                              "--prime-floor", "100000000000")
     assert code == 2

@@ -9,6 +9,7 @@ import pytest
 from oracles import naive_torus_count, naive_uncovered, random_line_set
 
 from ridertypes import finitefield
+from ridertypes.cli import PIECES
 from ridertypes.finitefield import (
     MAX_PRIME,
     CharPoly,
@@ -17,11 +18,10 @@ from ridertypes.finitefield import (
     ff_type_count,
     is_prime,
     last_level_count,
-    next_prime,
     torus_count,
-    types_ff,
     valid_prime,
     valid_primes_from,
+    valid_torus_count,
 )
 from ridertypes.formulas import known_types, t3_closed_form
 from ridertypes.geometry import GeometryError, parse_moves
@@ -35,8 +35,6 @@ NIGHTRIDER = parse_moves("1,2;2,1;1,-2;2,-1")
 
 def test_prime_helpers():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert next_prime(12) == 13
-    assert next_prime(13) == 13
 
 
 def test_valid_prime_examples():
@@ -53,7 +51,7 @@ def test_valid_primes_from():
 
 def test_torus_count_single_piece():
     for p in (3, 5, 11):
-        assert torus_count(TRIDENT, 1, p).count == p * p
+        assert torus_count(TRIDENT, 1, p) == p * p
 
 
 def test_torus_count_q2_closed_form():
@@ -63,7 +61,7 @@ def test_torus_count_q2_closed_form():
             if not valid_prime(ms, p):
                 continue
             r = ms.r
-            assert torus_count(ms, 2, p).count == p * p * (p * p - r * p + r - 1)
+            assert torus_count(ms, 2, p) == p * p * (p * p - r * p + r - 1)
 
 
 def test_torus_count_matches_naive_oracle():
@@ -76,12 +74,12 @@ def test_torus_count_matches_naive_oracle():
     ]
     for ms, q, p in cases:
         assert valid_prime(ms, p)
-        assert torus_count(ms, q, p).count == naive_torus_count(ms, q, p)
+        assert torus_count(ms, q, p) == naive_torus_count(ms, q, p)
 
 
 def test_torus_count_divisibility_and_bound():
     for ms, q, p in ((QUEEN, 3, 11), (TRIDENT, 4, 7)):
-        count = torus_count(ms, q, p).count
+        count = torus_count(ms, q, p)
         assert count % (p * p) == 0
         assert count <= p ** (2 * q)
 
@@ -98,7 +96,20 @@ def test_prime_ceiling():
     with pytest.raises(GeometryError):
         valid_primes_from(QUEEN, MAX_PRIME - 20, 5)  # the search would pass it
     with pytest.raises(GeometryError):
-        torus_count(QUEEN, 2, next_prime(MAX_PRIME + 1))
+        torus_count(QUEEN, 2, 263)  # the prime after MAX_PRIME
+
+
+def test_torus_counts_meet_the_invariant():
+    # the named riders at q <= 4 over every valid p <= 23; count +- 1 fails it
+    for ms in map(parse_moves, PIECES.values()):
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+            if not valid_prime(ms, p):
+                continue
+            for q in (1, 2, 3, 4):
+                count = torus_count(ms, q, p)
+                assert valid_torus_count(q, p, count), (str(ms), q, p)
+                assert not valid_torus_count(q, p, count + 1), (str(ms), q, p)
+                assert not valid_torus_count(q, p, count - 1), (str(ms), q, p)
 
 
 def test_last_level_single_line():
@@ -128,7 +139,7 @@ def test_last_level_matches_naive_randomized():
 
 def counted(ms, q, primes):
     """`primes` and the torus count of each, as `char_poly` takes them."""
-    return primes, {p: torus_count(ms, q, p).count for p in primes}
+    return primes, {p: torus_count(ms, q, p) for p in primes}
 
 
 def test_char_poly_q1():
@@ -145,7 +156,7 @@ def test_char_poly_q2_queen():
 
 def test_char_poly_validates_held_out_primes():
     primes = valid_primes_from(QUEEN, 5, 8)
-    counts = {p: torus_count(QUEEN, 2, p).count for p in primes}
+    counts = {p: torus_count(QUEEN, 2, p) for p in primes}
     counts[primes[-1]] += 1  # corrupt one validation prime
     with pytest.raises(ExceptionalPrimeError) as err:
         char_poly(2, primes, counts)
@@ -163,13 +174,14 @@ def test_chi_at_minus_one_r3_q3():
     assert poly(-1) == 102  # 17 unlabelled types, q! = 6 labelings each
 
 
-def test_types_ff_small_q():
+def test_ff_type_count_small_q():
     for ms in (ROOK, TRIDENT, QUEEN, NIGHTRIDER):
-        assert types_ff(ms, 1) == (1, 1)
-        assert types_ff(ms, 2) == (2 * ms.r, ms.r)
+        for q, expected in ((1, (1, 1)), (2, (2 * ms.r, ms.r))):
+            result = ff_type_count(ms, q)
+            assert (result.labelled, result.unlabelled) == expected
 
 
-def test_types_ff_q3_closed_form():
+def test_ff_type_count_q3_closed_form():
     movesets = {
         1: parse_moves("1,0"),
         2: ROOK,
@@ -178,9 +190,9 @@ def test_types_ff_q3_closed_form():
         5: parse_moves("1,0;0,1;1,1;1,-1;1,2"),
     }
     for r, ms in movesets.items():
-        labelled, unlabelled = types_ff(ms, 3)
-        assert unlabelled == t3_closed_form(r)
-        assert labelled == 6 * unlabelled
+        result = ff_type_count(ms, 3)
+        assert result.unlabelled == t3_closed_form(r)
+        assert result.labelled == 6 * result.unlabelled
 
 
 def test_ff_type_count_report():
@@ -188,14 +200,9 @@ def test_ff_type_count_report():
     assert result.labelled == 8
     assert result.unlabelled == 4
     assert result.poly.degree == 4
-    assert len(result.prime_counts) == 7
-    for pc in result.prime_counts:
-        assert result.poly(pc.p) == pc.count
-
-
-def test_ff_type_count_needs_an_attempt():
-    with pytest.raises(GeometryError, match="attempts"):
-        ff_type_count(QUEEN, 2, attempts=0)
+    assert list(result.counts) == valid_primes_from(QUEEN, 11, 7)
+    for p, count in result.counts.items():
+        assert result.poly(p) == count
 
 
 def test_ff_semiqueen_q5_matches_golden():
@@ -207,7 +214,7 @@ def test_ff_semiqueen_q5_matches_golden():
 
 def test_ff_accepts_precomputed_counts(monkeypatch):
     primes = valid_primes_from(TRIDENT, 11, 7)
-    counts = {p: torus_count(TRIDENT, 2, p).count for p in primes}
+    counts = {p: torus_count(TRIDENT, 2, p) for p in primes}
     asked = []
 
     def count(ps):
@@ -235,5 +242,8 @@ def test_three_move_riders_agree_for_small_q():
     # the q = 4 agreement (151 each) runs in the acceptance suite
     third = parse_moves("1,0;1,2;1,-2")
     for q in (1, 2, 3):
-        counts = {str(ms): types_ff(ms, q) for ms in (SEMIQUEEN, TRIDENT, third)}
+        counts = {}
+        for ms in (SEMIQUEEN, TRIDENT, third):
+            result = ff_type_count(ms, q)
+            counts[str(ms)] = (result.labelled, result.unlabelled)
         assert len(set(counts.values())) == 1, (q, counts)

@@ -14,12 +14,10 @@ from oracles import fraction_region_sample_points, random_arrangement
 from ridertypes.geometry import (
     BasicMove,
     GeometryError,
-    IDENTICAL,
     INFINITY,
     LinearMap,
     MoveSet,
     OrientedLine,
-    PARALLEL,
     Point,
     Side,
     arrangement,
@@ -97,9 +95,9 @@ def test_intersect_slanted():
 def test_intersect_parallel_and_identical():
     a = OrientedLine(point(0, 0), BasicMove(1, 2))
     b = OrientedLine(point(0, 1), BasicMove(1, 2))
-    assert intersect(a, b) is PARALLEL
+    assert intersect(a, b) is None
     c = OrientedLine(point(2, 4), BasicMove(-1, -2))
-    assert intersect(a, c) is IDENTICAL
+    assert intersect(a, c) is None
 
 
 def test_steiner_two_crossing_lines():

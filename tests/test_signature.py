@@ -5,6 +5,7 @@ float-angle oracle."""
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -27,9 +28,9 @@ from ridertypes.signature import (
     reorient_type,
     t1_to_t2,
     t2_to_t1,
-    type_from_json,
+    type_from_dict,
+    type_from_key,
     type_to_dict,
-    type_to_json,
 )
 
 QUEEN = parse_moves("1,0;0,1;1,1;1,-1")
@@ -190,7 +191,9 @@ def test_canonical_idempotent_and_permutation_invariant():
         t = labelled_type(QUEEN, cfg)
         canon = canonical_unlabelled(t)
         assert canonical_unlabelled(canon.canonical) == canon
-        orbit = [t.relabel(sigma) for sigma in itertools.permutations(range(1, 5))]
+        # relabel by reordering the pieces: piece i of the image is sigma(i)
+        orbit = [labelled_type(QUEEN, Config(tuple(pieces[s - 1] for s in sigma)))
+                 for sigma in itertools.permutations(range(1, 5))]
         for image in orbit:
             assert canonical_unlabelled(image) == canon
         # the canonical form is the relabelling with the least key
@@ -304,4 +307,20 @@ def test_serialization_round_trip():
     t = labelled_type(QUEEN, Config((point(0, 0), point(3, 1), point(1, 5))))
     data = type_to_dict(t)
     assert data["entries"] == sorted(data["entries"])
-    assert type_from_json(type_to_json(t)) == t
+    assert type_from_dict(json.loads(json.dumps(type_to_dict(t)))) == t
+
+
+def test_type_from_key_round_trip():
+    rng = random.Random(8)
+    done = 0
+    while done < 200:
+        ms = rng.choice((QUEEN, ROOK, FIG1))
+        q = rng.randint(1, 5)
+        pieces = tuple(point(rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(q))
+        if len(set(pieces)) < q or not is_nonattacking(ms, Config(pieces)):
+            continue
+        t = labelled_type(ms, Config(pieces))
+        assert type_from_key(t.key(), t.q, t.r) == t
+        u = canonical_unlabelled(t).canonical
+        assert type_from_key(u.key(), u.q, u.r) == u
+        done += 1
