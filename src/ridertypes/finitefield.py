@@ -11,10 +11,10 @@ run fails and retries with larger primes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from .geometry import GeometryError, MoveSet
 from .placement import count_sets, torus_line_masks
@@ -131,6 +131,70 @@ def valid_torus_count(q: int, p: int, count: int) -> bool:
             and count % math.factorial(q) == 0)
 
 
+def _direction_cell(x: int, y: int, p: int) -> int:
+    # the cell (0, 1) or (1, t) on the line through the origin and (x, y)
+    x %= p
+    return 1 if x == 0 else p + y * pow(x, -1, p) % p
+
+
+def _image(linear: tuple[int, int, int, int], cell: int, p: int) -> int:
+    # the direction cell of `linear` applied to the direction cell `cell`
+    a, b, c, d = linear
+    x, y = divmod(cell, p)
+    return _direction_cell(a * x + b * y, c * x + d * y, p)
+
+
+def _frame(u: Sequence[tuple[int, int]], p: int) -> tuple[int, int, int, int]:
+    # `geometry._frame` mod p: the map sending the directions (1, 0), (0, 1)
+    # and (1, 1) to u1, u2, u3 has columns s*u1 and t*u2, u3 = s*u1 + t*u2
+    (x1, y1), (x2, y2), (x3, y3) = u
+    inv = pow(x1 * y2 - y1 * x2, -1, p)
+    s = (x3 * y2 - y3 * x2) * inv % p
+    t = (x1 * y3 - y1 * x3) * inv % p
+    return (s * x1 % p, t * x2 % p, s * y1 % p, t * y2 % p)
+
+
+def direction_group(ms: MoveSet, p: int) -> list[tuple[int, int, int, int]]:
+    """The linear maps (a, b, c, d): (x, y) -> (a*x + b*y, c*x + d*y) of
+    F_p x F_p that permute the r move directions, one per projective map.
+
+    A map of the projective line is fixed by the images of three points.  So
+    for each ordered triple v of move directions take F(v) * F(u)^-1, where
+    u is the first three move directions and F(u) sends (1, 0), (0, 1),
+    (1, 1) to u, and keep the maps that permute the whole set.  The triple
+    v = u gives the identity.  For r <= 2 the group is the identity alone.
+    """
+    if ms.r < 3:
+        return [(1, 0, 0, 1)]
+    moves = [(m.c % p, m.d % p) for m in ms.moves]
+    targets = {_direction_cell(x, y, p) for x, y in moves}
+    a, b, c, d = _frame(moves[:3], p)
+    inv = pow(a * d - b * c, -1, p)
+    group = []
+    for v in itertools.permutations(moves, 3):
+        e, f, g, h = _frame(v, p)
+        linear = ((e * d - f * c) * inv % p, (f * a - e * b) * inv % p,
+                  (g * d - h * c) * inv % p, (h * a - g * b) * inv % p)
+        if {_image(linear, cell, p) for cell in targets} == targets:
+            group.append(linear)
+    return group
+
+
+def direction_orbits(ms: MoveSet, p: int) -> dict[int, int]:
+    """{cell: orbit size}: the first cell, (0, 1) or (1, t), of each orbit of
+    `direction_group` on the directions that are not move directions."""
+    group = direction_group(ms, p)
+    moves = {_direction_cell(m.c, m.d, p) for m in ms.moves}
+    orbits: dict[int, int] = {}
+    seen = set(moves)
+    for cell in (1, *range(p, 2 * p)):
+        if cell not in seen:
+            orbit = {_image(linear, cell, p) for linear in group}
+            seen |= orbit
+            orbits[cell] = len(orbit)
+    return orbits
+
+
 def torus_count(ms: MoveSet, q: int, p: int) -> int:
     """Number of ordered q-tuples over F_p x F_p with no piece on a move line
     of another.
@@ -143,6 +207,16 @@ def torus_count(ms: MoveSet, q: int, p: int) -> int:
     set stands for (q - 2)! orderings), the last two of them in closed form.
     Cell (x, y) is bit x*p + y, and each move (c, d) has p lines, keyed by
     d*x - c*y mod p.
+
+    For q >= 4 piece 2 runs over one direction per orbit of
+    `direction_group`, weighted by the orbit's size.  A map A of the group
+    is linear, so it fixes the origin and sends each line to a line, and it
+    sends a move line (one of direction u) to a line of direction A*u, again
+    a move direction.  So A, and A^-1 likewise, maps nonattacking tuples
+    with piece 1 at the origin to nonattacking tuples with piece 1 at the
+    origin: a bijection, which sends piece 2's direction d to A*d.  Hence
+    every direction of an orbit has the same count.  At q <= 3 the work per
+    direction is at most a popcount, less than finding the orbits costs.
     """
     if q < 1:
         raise GeometryError("need q >= 1")
@@ -155,11 +229,15 @@ def torus_count(ms: MoveSet, q: int, p: int) -> int:
 
     lines, star = torus_line_masks(ms, p)
     avail = ((1 << (p * p)) - 1) & ~star(0)
-    # representatives (0, 1) and (1, t) of the directions; those on a move
-    # line of the origin are not available
-    reps = [i for i in (1, *range(p, 2 * p)) if avail >> i & 1]
+    if q >= 4:
+        weights = direction_orbits(ms, p)
+    else:
+        # representatives (0, 1) and (1, t) of the directions; those on a
+        # move line of the origin are not available
+        weights = {i: 1 for i in (1, *range(p, 2 * p)) if avail >> i & 1}
     subtotal = sum(
-        count_sets(avail & ~star(i), q - 2, lines, ms.r, star) for i in reps
+        size * count_sets(avail & ~star(i), q - 2, lines, ms.r, star)
+        for i, size in weights.items()
     )
     count = p * p * (p - 1) * math.factorial(q - 2) * subtotal
     assert valid_torus_count(q, p, count)
@@ -183,24 +261,31 @@ class CharPoly:
         return acc
 
 
-def _lagrange(points: list[tuple[int, int]]) -> list[Fraction]:
-    """Coefficients (ascending) of the unique polynomial through the points."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            denom *= xi - xj
-            basis = [Fraction(0)] + basis[:]
-            for k in range(len(basis) - 1):
-                basis[k] -= xj * basis[k + 1]
-        scale = Fraction(yi) / denom
-        for k in range(len(basis)):
-            coeffs[k] += scale * basis[k]
-    return coeffs
+def interpolate(points: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """(numerators, denominator) of the unique polynomial of degree below
+    len(points) through the integer points: its ascending coefficients are
+    numerators[k] / denominator, with denominator > 0.
+
+    Lagrange's form over one common denominator, in integers: with
+    M(x) = prod_j (x - x_j), weights w_i = prod_{j != i} (x_i - x_j) and
+    L = lcm |w_i|, the numerators are the coefficients of
+    sum_i y_i (L / w_i) M(x) / (x - x_i), each quotient by synthetic division.
+    """
+    xs = [x for x, _ in points]
+    full = [1]  # M(x), ascending
+    for xj in xs:
+        full = [lo - xj * hi for lo, hi in zip([0, *full], [*full, 0])]
+    weights = [math.prod(xi - xj for j, xj in enumerate(xs) if j != i)
+               for i, xi in enumerate(xs)]
+    den = math.lcm(*weights)
+    nums = [0] * len(xs)
+    for (xi, yi), w in zip(points, weights):
+        scale = yi * (den // w)
+        carry = 0
+        for k in range(len(xs), 0, -1):
+            carry = full[k] + xi * carry
+            nums[k - 1] += scale * carry
+    return nums, den
 
 
 def char_poly(q: int, primes: list[int], counts: dict[int, int]) -> CharPoly:
@@ -214,12 +299,12 @@ def char_poly(q: int, primes: list[int], counts: dict[int, int]) -> CharPoly:
     if len(set(primes)) != len(primes):
         raise GeometryError("primes must be pairwise distinct")
     base, validation = primes[:need], primes[need:]
-    coeffs = _lagrange([(p, counts[p]) for p in base])
-    if any(c.denominator != 1 for c in coeffs):
+    nums, den = interpolate([(p, counts[p]) for p in base])
+    if any(n % den for n in nums):
         raise ExceptionalPrimeError(
             f"non-integer coefficients from primes {base}; retry with larger primes"
         )
-    ints = [int(c) for c in coeffs]
+    ints = [n // den for n in nums]
     if ints[-1] != 1:
         raise ExceptionalPrimeError(f"leading coefficient {ints[-1]} != 1 from primes {base}")
     if ints[0] != 0 or ints[1] != 0:

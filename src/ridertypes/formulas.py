@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .finitefield import _lagrange
+from .finitefield import interpolate
 from .geometry import GeometryError
 
 
@@ -108,7 +108,8 @@ def fit_quasipoly(data: list[tuple[int, int]], period: int, degree: int) -> Quas
                 f"needs {degree + 1}"
             )
         base, surplus = pts[: degree + 1], pts[degree + 1:]
-        coeffs = _lagrange(base)
+        nums, den = interpolate(base)
+        coeffs = [Fraction(n, den) for n in nums]
         poly = QuasiPoly(1, (tuple(coeffs),))
         for n, value in surplus:
             got = eval_quasipoly(poly, n)

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from ridertypes.boards import lattice_points
+from ridertypes.placement import count_sets, torus_line_masks
 from ridertypes.geometry import (
     BasicMove,
     ORIGIN,
@@ -83,6 +84,41 @@ def naive_torus_count(ms, q: int, p: int) -> int:
         return total
 
     return extend([])
+
+
+def unweighted_torus_count(ms, q: int, p: int) -> int:
+    """`finitefield.torus_count` without direction orbits: piece 2 runs over
+    every direction, (0, 1) and (1, t), that is not a move direction."""
+    if q == 1:
+        return p * p
+    lines, star = torus_line_masks(ms, p)
+    avail = ((1 << (p * p)) - 1) & ~star(0)
+    reps = [i for i in (1, *range(p, 2 * p)) if avail >> i & 1]
+    subtotal = sum(
+        count_sets(avail & ~star(i), q - 2, lines, ms.r, star) for i in reps
+    )
+    return p * p * (p - 1) * math.factorial(q - 2) * subtotal
+
+
+def fraction_lagrange(points: list[tuple[int, int]]) -> list[Fraction]:
+    """Ascending coefficients of the polynomial through the points, by
+    Lagrange's formula in `Fraction` arithmetic."""
+    n = len(points)
+    coeffs = [Fraction(0)] * n
+    for i, (xi, yi) in enumerate(points):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            denom *= xi - xj
+            basis = [Fraction(0)] + basis[:]
+            for k in range(len(basis) - 1):
+                basis[k] -= xj * basis[k + 1]
+        scale = Fraction(yi) / denom
+        for k in range(len(basis)):
+            coeffs[k] += scale * basis[k]
+    return coeffs
 
 
 def naive_uncovered(p: int, lines) -> int:

@@ -2,20 +2,31 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from oracles import naive_torus_count, naive_uncovered, random_line_set
+from oracles import (
+    fraction_lagrange,
+    naive_torus_count,
+    naive_uncovered,
+    random_line_set,
+    unweighted_torus_count,
+)
 
 from ridertypes import finitefield
-from ridertypes.cli import PIECES
+from ridertypes.cli import PIECES, family_movesets
 from ridertypes.finitefield import (
     MAX_PRIME,
     CharPoly,
     ExceptionalPrimeError,
     char_poly,
+    direction_group,
+    direction_orbits,
     ff_type_count,
+    interpolate,
     is_prime,
     last_level_count,
     torus_count,
@@ -31,6 +42,15 @@ ROOK = parse_moves("1,0;0,1")
 TRIDENT = parse_moves("0,1;1,1;1,-1")
 SEMIQUEEN = parse_moves("1,0;0,1;1,1")
 NIGHTRIDER = parse_moves("1,2;2,1;1,-2;2,-1")
+THIRD = parse_moves("1,0;1,2;1,-2")
+
+# The named pieces, a generic 4-move rider and the r = 5 and r = 6 family
+# sets: over the primes up to 23 their direction groups have orders 1 to 120.
+ORBIT_CASES = (
+    [parse_moves(text) for text in PIECES.values()]
+    + [parse_moves("1,0;0,1;1,1;1,3")] + family_movesets(5) + family_movesets(6)
+)
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 
 def test_prime_helpers():
@@ -112,6 +132,60 @@ def test_torus_counts_meet_the_invariant():
                 assert not valid_torus_count(q, p, count - 1), (str(ms), q, p)
 
 
+def test_weighted_torus_count_matches_one_direction_each():
+    for ms in ORBIT_CASES:
+        for p in SMALL_PRIMES:
+            if not valid_prime(ms, p):
+                continue
+            for q in (2, 3, 4, 5):
+                if q == 5 and p > 13:
+                    continue
+                assert torus_count(ms, q, p) == unweighted_torus_count(ms, q, p), \
+                    (str(ms), q, p)
+
+
+def _direction(x, y, p):
+    # (0, 1) or (1, t) on the line through the origin and (x, y)
+    x, y = x % p, y % p
+    return (0, 1) if x == 0 else (1, y * pow(x, -1, p) % p)
+
+
+def test_direction_group_permutes_the_move_directions():
+    for ms in ORBIT_CASES:
+        for p in SMALL_PRIMES:
+            if not valid_prime(ms, p):
+                continue
+            directions = [(0, 1)] + [(1, t) for t in range(p)]
+            moves = {_direction(m.c, m.d, p) for m in ms.moves}
+            group = direction_group(ms, p)
+            perms = set()
+            for a, b, c, d in group:
+                perm = tuple(_direction(a * x + b * y, c * x + d * y, p)
+                             for x, y in directions)
+                assert sorted(perm) == directions, (str(ms), p)
+                assert {_direction(a * x + b * y, c * x + d * y, p)
+                        for x, y in moves} == moves, (str(ms), p)
+                perms.add(perm)
+            assert len(perms) == len(group)
+            assert tuple(directions) in perms  # the identity
+            index = {u: i for i, u in enumerate(directions)}
+            for f, g in itertools.product(perms, repeat=2):
+                assert tuple(f[index[v]] for v in g) in perms, (str(ms), p)
+            orbits = direction_orbits(ms, p)
+            assert sum(orbits.values()) == p + 1 - ms.r, (str(ms), p)
+            assert all(len(group) % size == 0 for size in orbits.values())
+
+
+def test_direction_group_orders():
+    for ms in (SEMIQUEEN, TRIDENT, THIRD):
+        assert len(direction_group(ms, 11)) == 6
+    assert len(direction_group(QUEEN, 11)) == 8
+    assert len(direction_group(NIGHTRIDER, 11)) == 4
+    assert len(direction_group(NIGHTRIDER, 13)) == 12
+    assert len(direction_group(family_movesets(6, 1)[0], 11)) == 12
+    assert direction_group(ROOK, 11) == [(1, 0, 0, 1)]
+
+
 def test_last_level_single_line():
     for p in (5, 11):
         assert last_level_count(p, [(1, 2, 3)]) == p * p - p
@@ -163,6 +237,38 @@ def test_char_poly_validates_held_out_primes():
     assert str(primes[-1]) in str(err.value)
 
 
+def test_char_poly_rejects_non_integer_coefficients():
+    primes, counts = counted(QUEEN, 2, valid_primes_from(QUEEN, 5, 7))
+    counts[primes[0]] += 1  # one interpolation prime off by one
+    with pytest.raises(ExceptionalPrimeError, match="non-integer coefficients"):
+        char_poly(2, primes, counts)
+
+
+def test_char_poly_rejects_non_monic():
+    primes, counts = counted(QUEEN, 2, valid_primes_from(QUEEN, 5, 7))
+    doubled = {p: 2 * count for p, count in counts.items()}
+    with pytest.raises(ExceptionalPrimeError, match="leading coefficient 2 != 1"):
+        char_poly(2, primes, doubled)
+
+
+def test_char_poly_rejects_no_t_squared_factor():
+    primes, counts = counted(QUEEN, 2, valid_primes_from(QUEEN, 5, 7))
+    for shift in ({p: 7 for p in primes}, {p: 3 * p for p in primes}):
+        shifted = {p: count + shift[p] for p, count in counts.items()}
+        with pytest.raises(ExceptionalPrimeError, match="not divisible by t\\^2"):
+            char_poly(2, primes, shifted)
+
+
+def test_interpolate_matches_fraction_lagrange():
+    rng = random.Random(2718)
+    for _ in range(300):
+        xs = rng.sample(range(-40, 60), rng.randint(1, 11))
+        points = [(x, rng.randint(-10**12, 10**12)) for x in xs]
+        nums, den = interpolate(points)
+        assert den > 0
+        assert [Fraction(n, den) for n in nums] == fraction_lagrange(points)
+
+
 def test_char_poly_needs_enough_primes():
     primes, counts = counted(QUEEN, 3, [5, 7, 11])
     with pytest.raises(GeometryError):
@@ -206,10 +312,15 @@ def test_ff_type_count_report():
 
 
 def test_ff_semiqueen_q5_matches_golden():
-    # the first case past the closed forms that the ff engine computes
-    result = ff_type_count(SEMIQUEEN, 5)
-    assert result.unlabelled == known_types(5, 3)[0] == 1899
-    assert result.labelled == 120 * 1899
+    # the first cases past the closed forms that the ff engine computes: the
+    # three 3-move riders share one polynomial, and queens give 14206
+    chi = (0, 0, 27072, -70200, 72610, -40740, 13862, -2970, 395, -30, 1)
+    for ms in (SEMIQUEEN, TRIDENT, THIRD):
+        result = ff_type_count(ms, 5)
+        assert result.poly.coefficients == chi, str(ms)
+        assert result.unlabelled == known_types(5, 3)[0] == 1899
+        assert result.labelled == 120 * 1899
+    assert ff_type_count(QUEEN, 5).unlabelled == known_types(5, 4)[0] == 14206
 
 
 def test_ff_accepts_precomputed_counts(monkeypatch):
@@ -240,10 +351,9 @@ def test_charpoly_eval():
 
 def test_three_move_riders_agree_for_small_q():
     # the q = 4 agreement (151 each) runs in the acceptance suite
-    third = parse_moves("1,0;1,2;1,-2")
     for q in (1, 2, 3):
         counts = {}
-        for ms in (SEMIQUEEN, TRIDENT, third):
+        for ms in (SEMIQUEEN, TRIDENT, THIRD):
             result = ff_type_count(ms, q)
             counts[str(ms)] = (result.labelled, result.unlabelled)
         assert len(set(counts.values())) == 1, (q, counts)

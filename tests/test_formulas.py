@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import fraction_lagrange
+
+from ridertypes.finitefield import interpolate
 from ridertypes.formulas import (
     EXACT,
     KOTESOVEC,
@@ -119,6 +122,19 @@ def test_fit_round_trip():
     refit = fit_quasipoly(data, 3, 3)
     for n in range(-3, 25):
         assert eval_quasipoly(refit, n) == eval_quasipoly(qp, n)
+
+
+def test_fit_interpolation_matches_fraction_lagrange():
+    # the integer interpolation under fit_quasipoly, on the points of each
+    # residue class that it fits: labelled queen pairs on n x n boards
+    data = [(n, brute_queen_pairs(n)) for n in range(1, 13)]
+    qp = fit_quasipoly(data, 2, 4)
+    for res in (0, 1):
+        base = [(n, v) for n, v in data if n % 2 == res][:5]
+        nums, den = interpolate(base)
+        coeffs = fraction_lagrange(base)
+        assert [Fraction(n, den) for n in nums] == coeffs
+        assert qp.constituents[res] == QuasiPoly(1, (tuple(coeffs),)).constituents[0]
 
 
 def test_find_period_reports_smallest():
