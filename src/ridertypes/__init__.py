@@ -17,7 +17,6 @@ from .signature import (
     AttackError,
     Config,
     LabelledType,
-    UnlabelledType,
     canonical_unlabelled,
     is_nonattacking,
     labelled_type,
@@ -57,7 +56,6 @@ __all__ = [
     "SQUARE",
     "Side",
     "TRIANGLE",
-    "UnlabelledType",
     "canonical_unlabelled",
     "char_poly",
     "count_nonattacking",

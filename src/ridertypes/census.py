@@ -44,7 +44,6 @@ from .signature import (
     AttackError,
     Config,
     LabelledType,
-    UnlabelledType,
     antipode,
     canonical_unlabelled,
     cone_of,
@@ -54,19 +53,18 @@ from .signature import (
     orbit_size,
     region_numbering,
     type_from_dict,
-    type_from_key,
     type_to_dict,
 )
 
 
 @dataclass(frozen=True)
 class Census:
-    """Set of unlabelled types found by one engine run."""
+    """Unlabelled types found by one engine run, as canonical labelled types."""
 
     ms: MoveSet
     q: int
     engine: str
-    types: frozenset[UnlabelledType]
+    types: frozenset[LabelledType]
     exact: bool
     metadata: dict = field(default_factory=dict, compare=False)
 
@@ -108,8 +106,8 @@ def count_nonattacking(ms: MoveSet, board: Board, n: int, q: int) -> int:
     return sets * math.factorial(q)
 
 
-def _keys_to_types(keys: Iterable[tuple[int, ...]], q: int, r: int) -> frozenset[UnlabelledType]:
-    return frozenset(canonical_unlabelled(type_from_key(key, q, r)) for key in keys)
+def _keys_to_types(keys: Iterable[tuple[int, ...]], q: int, r: int) -> frozenset[LabelledType]:
+    return frozenset(canonical_unlabelled(LabelledType(q, r, key)) for key in keys)
 
 
 def grid_census(ms: MoveSet, board: Board, n: int, q: int) -> Census:
@@ -161,7 +159,7 @@ def stabilized_census(
     if n_start > n_max or window < 1:
         raise GeometryError("need n_start <= n_max and window >= 1")
     sizes = []
-    prev_types: frozenset[UnlabelledType] | None = None
+    prev_types: frozenset[LabelledType] | None = None
     census = None
     held = 0
     stabilized_at = None
@@ -273,7 +271,7 @@ def random_census(ms: MoveSet, q: int, samples: int, seed: int = 0) -> Census:
         except AttackError:
             continue
         accepted += 1
-        keys.add(t.key())
+        keys.add(t.key)
     return Census(
         ms, q, "random", _keys_to_types(keys, q, ms.r), False,
         {"samples": samples, "seed": seed, "nonattacking": accepted},
@@ -297,11 +295,8 @@ class FoursWitness:
 
 def _reachable_keys(ms: MoveSet, cfg3: tuple[Point, ...]) -> frozenset[tuple[int, ...]]:
     arr = configuration_arrangement(ms, cfg3)
-    keys = set()
-    for p4 in region_representatives(arr):
-        t = labelled_type(ms, Config(cfg3 + (p4,)))
-        keys.add(t.key())
-    return frozenset(keys)
+    return frozenset(labelled_type(ms, Config(cfg3 + (p4,))).key
+                     for p4 in region_representatives(arr))
 
 
 def sweep_loci(ms: MoveSet, p1: Point, p2: Point) -> list[OrientedLine]:
@@ -357,7 +352,7 @@ def fours_witness(ms: MoveSet) -> FoursWitness | None:
     p3_a, p3_b = (_toward_nearest(across, walls, Fraction(f, 2)) for f in (-1, 1))
     ra, rb = (_reachable_keys(ms, (p1, p2, p3)) for p3 in (p3_a, p3_b))
     return FoursWitness(p1, p2, p3_a, p3_b, sign_vector(arr12, p3_a),
-                        type_from_key(min(ra ^ rb), 4, ms.r))
+                        LabelledType(4, ms.r, min(ra ^ rb)))
 
 
 def witness_checks(ms: MoveSet, w: FoursWitness) -> dict[str, bool]:
@@ -372,7 +367,7 @@ def witness_checks(ms: MoveSet, w: FoursWitness) -> dict[str, bool]:
         "one region": {sign_vector(arr12, p3) for p3 in p3s} == {w.region_signature},
         "complete enumerations": all(len(region_representatives(a)) == steiner_count(a)
                                      for a in arrs),
-        "reachable sets differ": w.differing_type.key() in ra ^ rb,
+        "reachable sets differ": w.differing_type.key in ra ^ rb,
         "one locus crossed": Side.ON not in sa + sb and sum(a != b for a, b in zip(sa, sb)) == 1,
     }
 
@@ -380,7 +375,6 @@ def witness_checks(ms: MoveSet, w: FoursWitness) -> dict[str, bool]:
 # -- serialization and cache -------------------------------------------------
 
 def census_to_dict(census: Census) -> dict:
-    types = sorted(census.types, key=lambda t: t.canonical.key())
     return {
         "engine": census.engine,
         "moves": str(census.ms),
@@ -389,7 +383,7 @@ def census_to_dict(census: Census) -> dict:
         "exact": census.exact,
         "unlabelled": census.size,
         "labelled": census.labelled_count,
-        "types": [type_to_dict(t.canonical) for t in types],
+        "types": [type_to_dict(t) for t in sorted(census.types, key=lambda t: t.key)],
         "metadata": census.metadata,
     }
 

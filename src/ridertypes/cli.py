@@ -43,10 +43,11 @@ from .formulas import (
     eval_quasipoly,
     find_period,
     fit_quasipoly,
-    known_types,
+    golden_types,
     parse_bfile,
     t3_closed_form,
-    types_from_counts,
+    types_at_minus_one,
+    types_from_counts,  # unused here; bench/run.py traces cli.types_from_counts
 )
 from .geometry import GeometryError, MoveSet, parse_moves
 
@@ -194,23 +195,16 @@ def cmd_types(args) -> int:
         if cached is None:
             cache_store(cache_dir, key, report)
 
-    golden = known_types(args.q, ms.r)
-    if golden is not None:
-        value, annotation = golden
-        matches = report["unlabelled"] == value
-        report["golden"] = {"value": value, "annotation": annotation,
-                            "verdict": "match" if matches else "mismatch"}
-        _log(f"golden table ({args.q},{ms.r}) = {value} [{annotation}]: "
-             f"{report['golden']['verdict']}")
-    else:
-        report["golden"] = None
-        _log(f"golden table has no entry for (q={args.q}, r={ms.r})")
-
+    golden = golden_types(ms, args.q)
+    report["golden"] = None if golden is None else {
+        "value": golden[0], "annotation": golden[1],
+        "verdict": "match" if report["unlabelled"] == golden[0] else "mismatch"}
+    _log(f"golden table for {ms} at q={args.q}: " + ("no entry" if golden is None else
+         f"{golden[0]} [{golden[1]}], {report['golden']['verdict']}"))
     _log(f"{args.engine} census: {report['unlabelled']} unlabelled "
          f"({report['labelled']} labelled), exact={report['exact']}")
     _emit(report, args.output)
-    if args.check and report["golden"] is not None \
-            and report["golden"]["verdict"] != "match":
+    if args.check and golden is not None and report["golden"]["verdict"] != "match":
         return EXIT_MISMATCH
     return EXIT_OK
 
@@ -346,7 +340,7 @@ def cmd_fit(args) -> int:
     if text is None:
         return EXIT_USAGE
     data = parse_bfile(text)
-    degree = args.degree if args.degree is not None else 2 * args.q
+    degree = 2 * args.q  # of every q-piece counting quasipolynomial
     period = args.period
     if period is None:
         period = find_period(data, degree)
@@ -359,14 +353,13 @@ def cmd_fit(args) -> int:
         "constituents": [[str(c) for c in poly] for poly in qp.constituents],
         "value_at_-1": str(at_minus_one),
     }
-    if args.kind == "labelled":
-        labelled, unlabelled = types_from_counts(data, period, args.q)
-    else:
-        if at_minus_one.denominator != 1:
-            _log(f"u(q;-1) = {at_minus_one} is not an integer")
-            return EXIT_MISMATCH
-        unlabelled = int(at_minus_one)
-        labelled = unlabelled * math.factorial(args.q)
+    try:
+        labelled, unlabelled = types_at_minus_one(at_minus_one, args.q, args.kind)
+    except GeometryError as exc:
+        if args.kind == "labelled":
+            raise
+        _log(str(exc))  # unlabelled counts off the integers are a mismatch
+        return EXIT_MISMATCH
     report["labelled"] = labelled
     report["unlabelled"] = unlabelled
     _log(f"types at n=-1: {labelled} labelled / {unlabelled} unlabelled")
@@ -430,8 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--q", type=_positive_int, required=True)
     p_fit.add_argument("--period", type=int, default=None,
                        help="constituent period (searched over small values if omitted)")
-    p_fit.add_argument("--degree", type=int, default=None,
-                       help="fit degree (default 2q)")
     p_fit.add_argument("--kind", choices=("labelled", "unlabelled"),
                        default="unlabelled")
     p_fit.set_defaults(func=cmd_fit)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .finitefield import interpolate
-from .geometry import GeometryError
+from .geometry import GeometryError, MoveSet
 
 
 def t3_closed_form(r: int) -> int:
@@ -27,7 +27,8 @@ KOTESOVEC = "kotesovec-starred"
 QUEEN_ONLY = "queen-only"
 
 # Known unlabelled type counts per (q, r).  Starred values were computed from
-# empirical counting formulas; queen-only values may depend on the piece.
+# empirical counting formulas; queen-only values are the queen's, and
+# `golden_types` applies them only to the queen's linear class.
 _GOLDEN: dict[tuple[int, int], tuple[int, str]] = {}
 for _r in range(1, 7):
     _GOLDEN[(1, _r)] = (1, EXACT)
@@ -48,6 +49,25 @@ _GOLDEN[(6, 4)] = (501552, QUEEN_ONLY)
 def known_types(q: int, r: int) -> tuple[int, str] | None:
     """(value, annotation) from the golden table, or None where unknown."""
     return _GOLDEN.get((q, r))
+
+
+# Queen-only values hold for the queen's linear class.  A linear map carries
+# a move set's configuration arrangement onto that of its image, and PGL(2, Q)
+# is sharply 3-transitive on slopes, so a 4-move rider is a linear image of
+# the queen exactly when its four directions, like the queen's, have
+# cross-ratio [u1,u3][u2,u4] / ([u1,u4][u2,u3]) in {-1, 2, 1/2}, a set that
+# reordering the directions keeps ([a,b] is the 2x2 determinant).
+
+def golden_types(ms: MoveSet, q: int) -> tuple[int, str] | None:
+    """`known_types(q, r)` for `ms`, keeping a queen-only entry only when
+    `ms` is in the queen's linear class."""
+    golden = known_types(q, ms.r)
+    if golden is None or golden[1] != QUEEN_ONLY:
+        return golden
+    u1, u2, u3, u4 = ms.moves
+    det = lambda a, b: a.c * b.d - a.d * b.c
+    cross = Fraction(det(u1, u3) * det(u2, u4), det(u1, u4) * det(u2, u3))
+    return golden if cross in (-1, 2, Fraction(1, 2)) else None
 
 
 @dataclass(frozen=True)
@@ -138,19 +158,26 @@ def find_period(data: list[tuple[int, int]], degree: int,
     raise GeometryError(f"no candidate period fits the data: {last}")
 
 
+def types_at_minus_one(value: Fraction, q: int, kind: str) -> tuple[int, int]:
+    """(labelled, unlabelled) types from the value at n = -1 of a q-piece
+    counting quasipolynomial of `kind` "labelled" or "unlabelled" placements."""
+    if value.denominator != 1:
+        raise GeometryError(f"{kind} count at n = -1 is {value}, not an integer")
+    value, orbit = int(value), math.factorial(q)
+    if kind == "unlabelled":
+        return value * orbit, value
+    if value % orbit != 0:
+        raise GeometryError(f"labelled count {value} not divisible by {q}!")
+    return value, value // orbit
+
+
 def types_from_counts(data: list[tuple[int, int]], period: int, q: int) -> tuple[int, int]:
     """Fit the degree-2q counting quasipolynomial to labelled placement counts
     and evaluate at -1: (labelled types, unlabelled types)."""
     if q < 1:
         raise GeometryError("need q >= 1")
-    qp = fit_quasipoly(data, period, 2 * q)
-    labelled = eval_quasipoly(qp, -1)
-    if labelled.denominator != 1:
-        raise GeometryError(f"o(q;-1) = {labelled} is not an integer")
-    labelled = int(labelled)
-    if labelled % math.factorial(q) != 0:
-        raise GeometryError(f"labelled count {labelled} not divisible by {q}!")
-    return labelled, labelled // math.factorial(q)
+    return types_at_minus_one(eval_quasipoly(fit_quasipoly(data, period, 2 * q), -1),
+                              q, "labelled")
 
 
 def parse_bfile(text: str) -> list[tuple[int, int]]:

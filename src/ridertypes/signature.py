@@ -139,37 +139,33 @@ def attack_witness(ms: MoveSet, cfg: Config):
 
 @dataclass(frozen=True)
 class LabelledType:
-    """T1 encoding: region index of piece k around piece i, all ordered pairs."""
+    """T1 encoding: the region index of piece k around piece i for every
+    ordered pair (i, k), in `key_pairs(q)` order."""
 
     q: int
     r: int
-    entries: tuple[tuple[int, int, int], ...]  # (i, k, region), sorted by (i, k)
-    _lookup: dict = field(default=None, compare=False, repr=False)
+    key: tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(sorted(self.entries))
-        object.__setattr__(self, "entries", entries)
-        lookup = {(i, k): region for i, k, region in entries}
-        object.__setattr__(self, "_lookup", lookup)
-        if set(lookup) != set(key_pairs(self.q)):
+        if len(self.key) != len(key_pairs(self.q)):
             raise GeometryError("labelled type must cover every ordered pair exactly once")
         period = 2 * self.r
-        for (i, k), region in lookup.items():
+        for (i, k), region, back in zip(key_pairs(self.q), self.key, _swapped(self.q)):
             if not 1 <= region <= period:
                 raise GeometryError(f"region index {region} outside 1..{period}")
-            if lookup[(k, i)] != antipode(region, self.r):
+            if self.key[back] != antipode(region, self.r):
                 raise GeometryError(
                     f"antipodal invariant broken at ({i},{k}): "
-                    f"{region} vs {lookup[(k, i)]}"
+                    f"{region} vs {self.key[back]}"
                 )
 
-    def region(self, i: int, k: int) -> int:
-        return self._lookup[(i, k)]
+    @property
+    def entries(self) -> tuple[tuple[int, int, int], ...]:
+        """(i, k, region) for every ordered pair, in `key_pairs` order."""
+        return tuple((i, k, g) for (i, k), g in zip(key_pairs(self.q), self.key))
 
-    def key(self) -> tuple[int, ...]:
-        """Flattened region indices in `key_pairs` order; `type_from_key`
-        inverts it."""
-        return tuple(region for _, _, region in self.entries)
+    def region(self, i: int, k: int) -> int:
+        return self.key[_position(self.q)[(i, k)]]
 
 
 @lru_cache(maxsize=None)
@@ -178,64 +174,55 @@ def key_pairs(q: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.permutations(range(1, q + 1), 2))
 
 
-def type_from_key(key: Sequence[int], q: int, r: int) -> LabelledType:
-    """The labelled type whose key is `key`."""
-    return LabelledType(q, r, tuple((i, k, g) for (i, k), g in zip(key_pairs(q), key)))
+@lru_cache(maxsize=None)
+def _position(q: int) -> dict[tuple[int, int], int]:
+    return {pair: n for n, pair in enumerate(key_pairs(q))}
+
+
+@lru_cache(maxsize=None)
+def _swapped(q: int) -> tuple[int, ...]:
+    # per pair (i, k) in key order, the position of (k, i)
+    return tuple(_position(q)[(k, i)] for i, k in key_pairs(q))
 
 
 def labelled_type(ms: MoveSet, cfg: Config) -> LabelledType:
-    """T1 type of a nonattacking configuration (raises AttackError otherwise)."""
+    """T1 type of a nonattacking configuration (raises AttackError otherwise).
+    Both cones of each pair are computed: the antipodal check compares them."""
     witness = attack_witness(ms, cfg)
     if witness is not None:
         i, k, j = witness
         raise AttackError(
             f"pieces {i} and {k} attack along move {j} ({ms.moves[j - 1]})"
         )
-    entries = []
-    for i in range(cfg.q):
-        for k in range(cfg.q):
-            if i == k:
-                continue
-            v = cfg.pieces[k] - cfg.pieces[i]
-            entries.append((i + 1, k + 1, cone_index(ms, v)))
-    return LabelledType(cfg.q, ms.r, tuple(entries))
-
-
-@dataclass(frozen=True)
-class UnlabelledType:
-    """A labelled type up to piece relabeling, stored as the lexicographic
-    minimum of the flattened entries over all q! permutations."""
-
-    canonical: LabelledType
+    pieces = cfg.pieces
+    return LabelledType(cfg.q, ms.r, tuple(
+        cone_index(ms, pieces[k - 1] - pieces[i - 1]) for i, k in key_pairs(cfg.q)
+    ))
 
 
 @lru_cache(maxsize=None)
 def _relabellings(q: int) -> tuple[itemgetter, ...]:
     # per permutation sigma of 1..q, a getter from a key to the key relabelled
     # by sigma: entry (i, k) reads the position of (sigma(i), sigma(k))
-    pairs = key_pairs(q)
-    position = {pair: n for n, pair in enumerate(pairs)}
+    if q == 1:
+        return (tuple,)  # one piece: the empty key, and the identity on it
+    position = _position(q)
     return tuple(
-        itemgetter(*(position[(sigma[i - 1], sigma[k - 1])] for i, k in pairs))
+        itemgetter(*(position[(sigma[i - 1], sigma[k - 1])] for i, k in key_pairs(q)))
         for sigma in itertools.permutations(range(1, q + 1))
     )
 
 
-def canonical_unlabelled(t: LabelledType) -> UnlabelledType:
-    """Builds the type of the least of the q! relabelled keys."""
-    if t.q == 1:
-        return UnlabelledType(t)
-    key = t.key()
-    return UnlabelledType(type_from_key(min(g(key) for g in _relabellings(t.q)), t.q, t.r))
+def canonical_unlabelled(t: LabelledType) -> LabelledType:
+    """The unlabelled type of `t`, held as its relabelling with the least key
+    over all q! permutations: `t` itself when its key is already the least."""
+    least = min(g(t.key) for g in _relabellings(t.q))
+    return t if least == t.key else LabelledType(t.q, t.r, least)
 
 
-def orbit_size(u: UnlabelledType) -> int:
+def orbit_size(t: LabelledType) -> int:
     """Number of distinct labelled types obtained by relabeling."""
-    t = u.canonical
-    if t.q == 1:
-        return 1
-    key = t.key()
-    return len({g(key) for g in _relabellings(t.q)})
+    return len({g(t.key) for g in _relabellings(t.q)})
 
 
 @dataclass(frozen=True)
@@ -268,23 +255,20 @@ def t1_to_t2(t: LabelledType, ms: MoveSet) -> T2Type:
 
 
 def t2_to_t1(t2: T2Type, ms: MoveSet) -> LabelledType:
-    """Inverse conversion; raises if a side pattern matches no region."""
+    """Inverse conversion; raises unless every pair has a side on every line
+    matching a region, and nothing else is given."""
     if ms.r != t2.r:
         raise GeometryError("move set size does not match the type")
     index_of = cone_of_pattern(ms.moves)
-    by_pair: dict[tuple[int, int], dict[int, Side]] = {}
-    for i, j, k, side in t2.triples:
-        by_pair.setdefault((i, k), {})[j] = side
-    entries = []
-    for (i, k), sides in by_pair.items():
-        if sorted(sides) != list(range(1, t2.r + 1)):
-            raise GeometryError(f"pair ({i},{k}) is missing side data for some line")
-        pattern = tuple(sides[j] for j in range(1, t2.r + 1))
-        region = index_of.get(pattern)
-        if region is None:
-            raise GeometryError(f"side pattern {pattern} matches no region of {ms}")
-        entries.append((i, k, region))
-    return LabelledType(t2.q, t2.r, tuple(entries))
+    key = []
+    for i, k in key_pairs(t2.q):
+        pattern = tuple(t2._sides.get((i, j, k)) for j in range(1, t2.r + 1))
+        if pattern not in index_of:
+            raise GeometryError(f"side pattern {pattern} of ({i},{k}) matches no region of {ms}")
+        key.append(index_of[pattern])
+    if len(t2.triples) != len(key) * t2.r:
+        raise GeometryError("side data given beyond every pair and line")
+    return LabelledType(t2.q, t2.r, tuple(key))
 
 
 def reorient_type(t: LabelledType, ms: MoveSet, j: int) -> LabelledType:
@@ -312,5 +296,10 @@ def type_to_dict(t: LabelledType) -> dict:
 
 
 def type_from_dict(data: dict) -> LabelledType:
-    entries = tuple((int(i), int(k), int(region)) for i, k, region in data["entries"])
-    return LabelledType(int(data["q"]), int(data["r"]), entries)
+    """Inverse of `type_to_dict`; raises unless the entries cover every
+    ordered pair exactly once."""
+    q = int(data["q"])
+    entries = sorted((int(i), int(k), int(region)) for i, k, region in data["entries"])
+    if [entry[:2] for entry in entries] != list(key_pairs(q)):
+        raise GeometryError("labelled type must cover every ordered pair exactly once")
+    return LabelledType(q, int(data["r"]), tuple(entry[2] for entry in entries))

@@ -267,7 +267,7 @@ def test_criterion_8b_three_move_witnesses_absent_as_stated():
         ra = _reachable_keys(ms, (w.p1, w.p2, w.p3_a))
         rb = _reachable_keys(ms, (w.p1, w.p2, w.p3_b))
         assert ra != rb, str(ms)
-        assert w.differing_type.key() in ra ^ rb, str(ms)
+        assert w.differing_type.key in ra ^ rb, str(ms)
         loci = _sweep_loci(ms, w.p1, w.p2)
         on = [ln for ln in loci for p3 in (w.p3_a, w.p3_b) if side_of(ln, p3) is Side.ON]
         assert not on, f"{ms}: a placement lies on the sweep locus {on[0]}"
@@ -328,7 +328,7 @@ def test_criterion_9_property_suites():
     for ms, q in ((QUEEN, 3), (TRIDENT, 3)):
         census = geometric_census(ms, q)
         for j in range(1, ms.r + 1):
-            mapped = {reorient_type(t.canonical, ms, j).key() for t in census.types}
+            mapped = {reorient_type(t, ms, j).key for t in census.types}
             assert len(mapped) == census.size
             assert geometric_census(ms.reorient(j), q).size == census.size
 

@@ -36,7 +36,7 @@ from ridertypes.geometry import (
     sign_vector,
     steiner_count,
 )
-from ridertypes.signature import type_from_key
+from ridertypes.signature import LabelledType
 
 QUEEN = parse_moves("1,0;0,1;1,1;1,-1")
 ROOK = parse_moves("1,0;0,1")
@@ -221,7 +221,7 @@ def test_fours_witness_queen_found_and_valid():
     ra = _reachable_keys(QUEEN, (w.p1, w.p2, w.p3_a))
     rb = _reachable_keys(QUEEN, (w.p1, w.p2, w.p3_b))
     assert ra != rb
-    assert w.differing_type.key() in (ra | rb) - (ra & rb)
+    assert w.differing_type.key in (ra | rb) - (ra & rb)
 
 
 def test_fours_witness_r1_none():
@@ -253,7 +253,7 @@ def test_witness_checks_flag_broken_witnesses():
             (dataclasses.replace(w, p3_b=elsewhere), "one region"),
             (dataclasses.replace(w, p3_b=on_locus), "one locus crossed"),
             (dataclasses.replace(w, p3_b=far), "one locus crossed"),
-            (dataclasses.replace(w, differing_type=type_from_key(shared, 4, ms.r)),
+            (dataclasses.replace(w, differing_type=LabelledType(4, ms.r, shared)),
              "reachable sets differ"),
         ):
             assert not witness_checks(ms, broken)[failing], (str(ms), failing)
@@ -324,7 +324,7 @@ def test_projective_transport_preserves_census():
             continue
         image = Config(tuple(lmap.point(p) for p in pieces))
         assert is_nonattacking(dst_ms, image)
-        seen_src.add(labelled_type(src_ms, cfg).key())
-        seen_dst.add(labelled_type(dst_ms, image).key())
+        seen_src.add(labelled_type(src_ms, cfg).key)
+        seen_dst.add(labelled_type(dst_ms, image).key)
         pairs += 1
     assert len(seen_src) == len(seen_dst)

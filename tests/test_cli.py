@@ -109,6 +109,28 @@ def test_corrupt_cache_entries_are_recomputed(tmp_path, capsys):
     assert "cache hit" in err4 and "does not parse" not in err4
 
 
+def test_census_entry_with_a_broken_type_is_a_miss(tmp_path, capsys):
+    argv = ("--cache-dir", str(tmp_path), "types", "--moves", "trident",
+            "--q", "3", "--engine", "geometric")
+    code, fresh, _ = run_cli(capsys, *argv)
+    assert code == 0
+    (entry,) = tmp_path.iterdir()
+    good = json.loads(entry.read_text())
+    pairs = good["types"][0]["entries"]
+    period = 2 * good["r"]
+    for broken in (pairs[1:],                           # a pair missing
+                   pairs + [[1, 4, 1]],                 # a pair of no piece
+                   pairs + [pairs[0]],                  # a pair repeated
+                   [[1, 2, 0]] + pairs[1:],             # region 0
+                   [[1, 2, period + 1]] + pairs[1:]):   # region 2r + 1
+        types = [dict(good["types"][0], entries=broken)] + good["types"][1:]
+        entry.write_text(json.dumps(dict(good, types=types)))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (0, fresh), broken
+        assert "does not parse" in err and "cache hit" not in err
+        assert json.loads(entry.read_text()) == good
+
+
 def test_census_cache_key_holds_only_what_the_engine_reads(tmp_path, capsys):
     base = ("--cache-dir", str(tmp_path), "types", "--moves", "queen", "--q", "2")
     geometric = base + ("--engine", "geometric")
@@ -198,6 +220,27 @@ def test_ff_retry_primes_go_through_the_cache(tmp_path, monkeypatch):
             finitefield.torus_count(ms, 2, p)
 
 
+def test_every_attempt_exceptional_exits_3(tmp_path, capsys, monkeypatch):
+    # each of the ATTEMPTS windows fails; the last error reaches main, and
+    # every window's primes were counted and cached on the way
+    def always(*args):
+        raise finitefield.ExceptionalPrimeError("forced")
+
+    monkeypatch.setattr(finitefield, "char_poly", always)
+    code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path), "types",
+                             "--moves", "trident", "--q", "2")
+    assert (code, out) == (3, "")
+    assert "engine error: forced" in err and "Traceback" not in err
+    ms = parse_moves(PIECES["trident"])
+    windows, floor = [], 11
+    for _ in range(finitefield.ATTEMPTS):
+        windows.append(valid_primes_from(ms, floor, 2 * 2 + 1 + finitefield.VALIDATION_PRIMES))
+        floor = windows[-1][-1] + 1
+    assert len(windows) == 3
+    cached = sorted(json.loads(e.read_text())["p"] for e in tmp_path.iterdir())
+    assert cached == [p for window in windows for p in window]
+
+
 def test_prime_floor_above_ceiling(capsys, monkeypatch):
     def no_search(ms, p):
         raise AssertionError("prime search ran")
@@ -283,6 +326,28 @@ def test_fit_searches_period(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["period"] == 1
     assert "period" in err
+
+
+def test_fit_degree_option_is_gone(tmp_path, capsys):
+    # a q-piece counting quasipolynomial has degree 2q; there is no other
+    data = tmp_path / "queens2.txt"
+    data.write_text("".join(f"{n} {brute_queen_pairs_unlabelled(n)}\n" for n in range(1, 9)))
+    code, out, err = run_cli(capsys, "fit", "--data", str(data), "--q", "2",
+                             "--degree", "4")
+    assert (code, out) == (2, "")
+    assert "--degree" in err
+
+
+def test_fit_off_integer_value_exit_codes(tmp_path, capsys):
+    # through n = 1, 2, 5 the fit is (n - 1)(n - 2)/12, which is 1/2 at n = -1:
+    # a mismatch for unlabelled counts, a parse error for labelled ones
+    data = tmp_path / "rows.txt"
+    data.write_text("1 0\n2 0\n5 1\n")
+    for kind, expected in (("unlabelled", 1), ("labelled", 2)):
+        code, out, err = run_cli(capsys, "fit", "--data", str(data), "--q", "1",
+                                 "--period", "1", "--kind", kind)
+        assert (code, out) == (expected, ""), kind
+        assert "1/2, not an integer" in err and "Traceback" not in err
 
 
 def test_fit_malformed_file(tmp_path, capsys):
@@ -385,6 +450,39 @@ def test_verify_table1(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["passed"] == report["total"]
+
+
+def test_verify_thm_3move(capsys):
+    code, out, _ = run_cli(capsys, "verify", "thm-3move")
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] == report["total"] == 4
+
+
+def test_types_without_golden_entry(capsys):
+    # the table stops at r = 6
+    code, out, err = run_cli(capsys, "types", "--moves=1,0;0,1;1,1;1,-1;1,2;2,1;1,3",
+                             "--q", "1", "--check")
+    assert code == 0
+    report = json.loads(out)
+    assert report["unlabelled"] == 1 and report["golden"] is None
+    assert "no entry" in err
+
+
+def test_queen_only_golden_entries_follow_the_queen_class(capsys):
+    # the nightrider's directions have cross-ratio 16/25, not -1, 2 or 1/2:
+    # the queen's 574 does not apply, and --check has nothing to fail on
+    code, out, _ = run_cli(capsys, "types", "--moves", "nightrider", "--q", "4",
+                           "--engine", "ff", "--check")
+    assert code == 0
+    report = json.loads(out)
+    assert report["unlabelled"] == 576 and report["golden"] is None
+    # (x, y) -> (x, x + y) carries the queen onto this rider
+    code, out, _ = run_cli(capsys, "types", "--moves=1,1;0,1;1,2;1,0", "--q", "4",
+                           "--engine", "ff", "--check")
+    assert code == 0
+    assert json.loads(out)["golden"] == {"value": 574, "annotation": "queen-only",
+                                         "verdict": "match"}
 
 
 def test_verify_thm_3move_checks_are_defined():

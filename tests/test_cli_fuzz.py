@@ -32,7 +32,7 @@ def valid_argvs(data: str) -> list[list[str]]:
         ["count", "--moves", "1,1;1,-1", "--q", "3", "--board",
          "poly:0,0;1,1/2;1/2,1", "--n", "6"],
         ["fit", "--data", data, "--q", "2", "--period", "1"],
-        ["fit", "--data", data, "--q", "2", "--kind", "labelled", "--degree", "4"],
+        ["fit", "--data", data, "--q", "2", "--kind", "labelled"],
     ]
 
 

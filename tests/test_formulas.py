@@ -17,9 +17,11 @@ from ridertypes.formulas import (
     eval_quasipoly,
     find_period,
     fit_quasipoly,
+    golden_types,
     known_types,
     parse_bfile,
     t3_closed_form,
+    types_at_minus_one,
     types_from_counts,
 )
 from ridertypes.geometry import GeometryError, parse_moves
@@ -64,6 +66,40 @@ def test_golden_columns():
     for q in range(1, 7):
         assert known_types(q, 1) == (1, EXACT)
         assert known_types(q, 2) == (math.factorial(q), EXACT)
+
+
+def _linear_image(moves: str, a: int, b: int, c: int, d: int) -> str:
+    return ";".join(f"{a * x + b * y},{c * x + d * y}"
+                    for x, y in (map(int, m.split(",")) for m in moves.split(";")))
+
+
+def test_queen_only_entries_follow_the_queen_class():
+    images = 0
+    for a, b, c, d in itertools.product((-1, 0, 1), repeat=4):
+        if abs(a * d - b * c) == 1:
+            for order in itertools.permutations(str(QUEEN).split(";")):
+                ms = parse_moves(_linear_image(";".join(order), a, b, c, d))
+                assert golden_types(ms, 4) == (574, QUEEN_ONLY), str(ms)
+            images += 1
+    assert images == 40
+    # harmonic sets that are no unimodular image of the queen: still its class
+    for moves in ("1,0;0,1;1,2;1,-2", "1,0;0,1;1,1;1,2", _linear_image(str(QUEEN), 2, 1, 0, 3)):
+        assert golden_types(parse_moves(moves), 5) == (14206, QUEEN_ONLY), moves
+    # the nightrider (cross-ratio 16/25) and other 4-move riders are not
+    for moves in ("1,2;2,1;1,-2;2,-1", "1,0;0,1;1,1;1,3", "3,1;5,-2;2,7;7,-3"):
+        assert [golden_types(parse_moves(moves), q) for q in (4, 5, 6)] == [None] * 3
+        # entries of other kinds apply to every move set
+        assert golden_types(parse_moves(moves), 3) == (36, EXACT)
+    assert known_types(4, 4) == (574, QUEEN_ONLY)
+
+
+def test_types_at_minus_one():
+    assert types_at_minus_one(Fraction(12), 3, "labelled") == (12, 2)
+    assert types_at_minus_one(Fraction(2), 3, "unlabelled") == (12, 2)
+    for value, kind in ((Fraction(13, 2), "labelled"), (Fraction(13, 2), "unlabelled"),
+                        (Fraction(13), "labelled")):
+        with pytest.raises(GeometryError):
+            types_at_minus_one(value, 3, kind)
 
 
 def test_quasipoly_eval():

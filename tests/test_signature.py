@@ -29,7 +29,6 @@ from ridertypes.signature import (
     t1_to_t2,
     t2_to_t1,
     type_from_dict,
-    type_from_key,
     type_to_dict,
 )
 
@@ -159,7 +158,7 @@ def test_translation_invariance():
 def test_canonical_single_piece():
     t = labelled_type(QUEEN, Config((point(2, 2),)))
     assert t.entries == ()
-    assert canonical_unlabelled(t).canonical is t
+    assert canonical_unlabelled(t) is t
 
 
 def test_fig1_two_pieces_three_unlabelled_six_labelled():
@@ -170,7 +169,7 @@ def test_fig1_two_pieces_three_unlabelled_six_labelled():
               point(0, -1), point(1, -1)]
     for p in probes:
         t = labelled_type(FIG1, Config((point(0, 0), p)))
-        seen_labelled.add(t.key())
+        seen_labelled.add(t.key)
         seen_unlabelled.add(canonical_unlabelled(t))
     assert len(seen_labelled) == 6
     assert len(seen_unlabelled) == 3
@@ -190,15 +189,15 @@ def test_canonical_idempotent_and_permutation_invariant():
         done += 1
         t = labelled_type(QUEEN, cfg)
         canon = canonical_unlabelled(t)
-        assert canonical_unlabelled(canon.canonical) == canon
+        assert canonical_unlabelled(canon) == canon
         # relabel by reordering the pieces: piece i of the image is sigma(i)
         orbit = [labelled_type(QUEEN, Config(tuple(pieces[s - 1] for s in sigma)))
                  for sigma in itertools.permutations(range(1, 5))]
         for image in orbit:
             assert canonical_unlabelled(image) == canon
         # the canonical form is the relabelling with the least key
-        assert canon.canonical == min(orbit, key=LabelledType.key)
-        assert orbit_size(canon) == len({image.key() for image in orbit})
+        assert canon == min(orbit, key=lambda image: image.key)
+        assert orbit_size(canon) == len({image.key for image in orbit})
 
 
 def test_orbit_size_divides_factorial():
@@ -220,12 +219,12 @@ def test_reorient_type_preserves_census_sets():
     probes = [point(3, 1), point(1, 3), point(-2, 5), point(-4, -1),
               point(5, -2), point(1, -6), point(7, 2), point(-1, -8)]
     for p in probes:
-        types.add(labelled_type(QUEEN, Config((point(0, 0), p))).key())
+        types.add(labelled_type(QUEEN, Config((point(0, 0), p))).key)
     for j in range(1, QUEEN.r + 1):
         mapped = set()
         for p in probes:
             t = labelled_type(QUEEN, Config((point(0, 0), p)))
-            mapped.add(reorient_type(t, QUEEN, j).key())
+            mapped.add(reorient_type(t, QUEEN, j).key)
         assert len(mapped) == len(types)
 
 
@@ -300,7 +299,7 @@ def test_t2_inconsistent_pattern_rejected():
 
 def test_antipodal_violation_rejected():
     with pytest.raises(GeometryError):
-        LabelledType(2, 2, ((1, 2, 1), (2, 1, 2)))
+        LabelledType(2, 2, (1, 2))
 
 
 def test_serialization_round_trip():
@@ -310,7 +309,7 @@ def test_serialization_round_trip():
     assert type_from_dict(json.loads(json.dumps(type_to_dict(t)))) == t
 
 
-def test_type_from_key_round_trip():
+def test_dict_round_trip_random():
     rng = random.Random(8)
     done = 0
     while done < 200:
@@ -320,7 +319,24 @@ def test_type_from_key_round_trip():
         if len(set(pieces)) < q or not is_nonattacking(ms, Config(pieces)):
             continue
         t = labelled_type(ms, Config(pieces))
-        assert type_from_key(t.key(), t.q, t.r) == t
-        u = canonical_unlabelled(t).canonical
-        assert type_from_key(u.key(), u.q, u.r) == u
+        assert type_from_dict(type_to_dict(t)) == t
+        u = canonical_unlabelled(t)
+        assert type_from_dict(type_to_dict(u)) == u
+        assert all(t.region(i, k) == g for i, k, g in t.entries)
         done += 1
+
+
+def test_type_from_dict_rejects_bad_entries():
+    t = labelled_type(QUEEN, Config((point(0, 0), point(3, 1), point(1, 5))))
+    good = type_to_dict(t)
+    entries = good["entries"]
+    for bad in (
+        entries[1:],                           # a pair missing
+        entries + [[1, 4, 1]],                 # a pair of no piece
+        entries[:-1] + [entries[0]],           # a pair repeated, another missing
+        entries + [entries[0]],                # a pair repeated
+        [[1, 2, 0]] + entries[1:],             # region 0
+        [[1, 2, 2 * QUEEN.r + 1]] + entries[1:],  # region 2r + 1
+    ):
+        with pytest.raises(GeometryError):
+            type_from_dict(dict(good, entries=bad))
