@@ -389,12 +389,15 @@ def census_to_dict(census: Census) -> dict:
 
 
 def census_from_dict(data: dict) -> Census:
+    q, exact = data["q"], data["exact"]
+    if type(q) is not int or type(exact) is not bool:
+        raise TypeError(f"q = {q!r} is not an int or exact = {exact!r} not a bool")
     types = frozenset(
         canonical_unlabelled(type_from_dict(entry)) for entry in data["types"]
     )
     return Census(
-        parse_moves(data["moves"]), int(data["q"]), data["engine"],
-        types, bool(data["exact"]), dict(data.get("metadata", {})),
+        parse_moves(data["moves"]), q, data["engine"],
+        types, exact, dict(data.get("metadata", {})),
     )
 
 

@@ -14,11 +14,11 @@ import math
 import operator
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .boards import parse_board
 from .census import (
+    Census,
     cache_key,
     cache_load,
     cache_store,
@@ -33,7 +33,7 @@ from .census import (
     witness_checks,
 )
 from .finitefield import (
-    ExceptionalPrimeError,
+    EngineError,
     ff_type_count,
     torus_count,
     valid_primes_from,  # unused here; bench/run.py traces cli.valid_primes_from
@@ -107,29 +107,69 @@ def _resolve_moves(text: str) -> MoveSet:
     return parse_moves(PIECES.get(text, text))
 
 
-def _cached_count(q: int, p: int, entry: dict) -> int:
+def _cached_count(ms: MoveSet, q: int, p: int, entry: dict) -> int:
+    # a miss, like an entry that does not parse
+    if (entry["moves"], entry["q"], entry["p"]) != (str(ms), q, p):
+        raise ValueError("entry holds the count of another query")
     count = operator.index(entry["count"])
-    if not valid_torus_count(q, p, count):  # a miss, like an entry that does not parse
+    if not valid_torus_count(q, p, count):
         raise ValueError(f"count {count} breaks the torus invariant at p = {p}")
     return count
 
 
+def _cached_census(ms: MoveSet, q: int, engine: str, read: dict,
+                   entry: dict) -> Census:
+    # a miss, like an entry that does not parse; the engine keeps some of
+    # the options it read (refinement, samples, seed, n, window) in metadata
+    census = census_from_dict(entry)
+    if ((entry["moves"], census.q, census.engine) != (str(ms), q, engine)
+            or any(census.metadata.get(k, v) != v for k, v in read.items())):
+        raise ValueError("entry holds the census of another query")
+    return census
+
+
+# Per-prime counts go to a process pool from this q on, and are counted in
+# this process below it.  Measured on a 2-vCPU host: starting a pool costs
+# 8-16 ms and one count at q <= 4 about 1 ms, so at q = 4 `run_ff` takes
+# 10-22 ms on two workers against 2-6 ms serially.  At q = 5 the semiqueen
+# (13 primes, fresh cache) takes 1.25 s on two workers against 2.24 s
+# serially.
+POOL_MIN_Q = 5
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, so that `taskset` caps the pool."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _torus_counts(ms: MoveSet, q: int, primes: list[int],
-                  threads: int, cache_dir: str | None) -> dict[int, int]:
+                  cache_dir: str | None) -> dict[int, int]:
+    """Each prime's torus count, from the cache or counted; from q =
+    POOL_MIN_Q on, missing primes are spread over one worker per prime and
+    per usable CPU."""
     counts: dict[int, int] = {}
     missing: dict[int, str] = {}  # prime -> cache key
     for p in primes:
         key = cache_key("prime-count", {"moves": str(ms), "q": q, "p": p})
-        hit = cache_load(cache_dir, key, functools.partial(_cached_count, q, p))
+        hit = cache_load(cache_dir, key, functools.partial(_cached_count, ms, q, p))
         if hit is not None:
             counts[p] = hit
         else:
             missing[p] = key
-    workers = min(threads, len(missing), os.cpu_count() or 1)
+    workers = min(len(missing), _usable_cpus()) if q >= POOL_MIN_Q else 1
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(_torus_worker, [(str(ms), q, p) for p in missing])
-            counts.update(zip(missing, results))
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                # largest first: a count's time grows with p, and a large
+                # prime left for last would keep one worker busy alone
+                todo = sorted(missing, reverse=True)
+                results = pool.map(functools.partial(torus_count, ms, q), todo)
+                counts.update(zip(todo, results))
+        except BrokenExecutor as exc:
+            raise EngineError(f"a per-prime count worker died: {exc}") from exc
     else:
         for p in missing:
             counts[p] = torus_count(ms, q, p)
@@ -139,15 +179,11 @@ def _torus_counts(ms: MoveSet, q: int, primes: list[int],
     return counts
 
 
-def _torus_worker(args: tuple[str, int, int]) -> int:
-    moves, q, p = args
-    return torus_count(parse_moves(moves), q, p)
-
-
-def run_ff(ms: MoveSet, q: int, prime_floor: int, threads: int,
-           cache_dir: str | None) -> dict:
-    count = functools.partial(_torus_counts, ms, q, threads=threads,
-                              cache_dir=cache_dir)
+def run_ff(ms: MoveSet, q: int, prime_floor: int, _threads: object = None,
+           cache_dir: str | None = None) -> dict:
+    """The ff report.  `_threads` is ignored: bench/run.py passes a worker
+    count positionally, and `_torus_counts` picks the pool size itself."""
+    count = functools.partial(_torus_counts, ms, q, cache_dir=cache_dir)
     result = ff_type_count(ms, q, prime_floor=prime_floor, count=count)
     return {
         "engine": "ff",
@@ -169,7 +205,7 @@ def cmd_types(args) -> int:
     cache_dir = args.cache_dir
 
     if args.engine == "ff":
-        report = run_ff(ms, args.q, args.prime_floor, args.threads, cache_dir)
+        report = run_ff(ms, args.q, args.prime_floor, cache_dir=cache_dir)
     else:
         # each engine's census, and the options it reads: its cache key
         if args.engine == "geometric":
@@ -188,7 +224,8 @@ def cmd_types(args) -> int:
                                             args.n_max, args.window)[0]
         key = cache_key("census", {"moves": str(ms), "q": args.q,
                                    "engine": args.engine, **read})
-        cached = cache_load(cache_dir, key, census_from_dict)
+        cached = cache_load(cache_dir, key, functools.partial(
+            _cached_census, ms, args.q, args.engine, read))
         if cached is not None:
             _log(f"cache hit for {args.engine} census")
         report = census_to_dict(run() if cached is None else cached)
@@ -257,7 +294,7 @@ def _subcheck(name: str, ok: bool, detail: str) -> dict:
     return {"name": name, "pass": ok, "detail": detail}
 
 
-def verify_table1(threads: int, cache_dir: str | None) -> list[dict]:
+def verify_table1(cache_dir: str | None) -> list[dict]:
     checks = []
     for r in range(1, 7):
         for ms in family_movesets(r, 3):
@@ -265,7 +302,7 @@ def verify_table1(threads: int, cache_dir: str | None) -> list[dict]:
             checks.append(_subcheck(
                 f"t({ms})(q=1)=1", c.size == 1, f"geometric gives {c.size}"))
             c2 = geometric_census(ms, 2)
-            ff = run_ff(ms, 2, 11, threads, cache_dir)
+            ff = run_ff(ms, 2, 11, cache_dir=cache_dir)
             ok = c2.size == r and ff["unlabelled"] == r
             checks.append(_subcheck(
                 f"t({ms})(q=2)={r}", ok,
@@ -273,13 +310,13 @@ def verify_table1(threads: int, cache_dir: str | None) -> list[dict]:
     return checks
 
 
-def verify_thm_q3(threads: int, cache_dir: str | None) -> list[dict]:
+def verify_thm_q3(cache_dir: str | None) -> list[dict]:
     checks = []
     for r in range(1, 6):
         expected = t3_closed_form(r)
         for ms in family_movesets(r, 5):
             geo = geometric_census(ms, 3)
-            ff = run_ff(ms, 3, 11, threads, cache_dir)
+            ff = run_ff(ms, 3, 11, cache_dir=cache_dir)
             ok = geo.size == expected and ff["unlabelled"] == expected
             checks.append(_subcheck(
                 f"t({ms})(q=3)={expected}", ok,
@@ -287,13 +324,13 @@ def verify_thm_q3(threads: int, cache_dir: str | None) -> list[dict]:
     return checks
 
 
-def verify_thm_3move(threads: int, cache_dir: str | None) -> list[dict]:
+def verify_thm_3move(cache_dir: str | None) -> list[dict]:
     checks = []
     movesets = [parse_moves(PIECES["semiqueen"]), parse_moves(PIECES["trident"]),
                 parse_moves("1,0;1,2;1,-2")]
     values = []
     for ms in movesets:
-        ff = run_ff(ms, 4, 11, threads, cache_dir)
+        ff = run_ff(ms, 4, 11, cache_dir=cache_dir)
         values.append(ff["unlabelled"])
         checks.append(_subcheck(
             f"t({ms})(q=4)=151", ff["unlabelled"] == 151,
@@ -320,11 +357,11 @@ def verify_fours() -> list[dict]:
 
 def cmd_verify(args) -> int:
     if args.name == "table1":
-        checks = verify_table1(args.threads, args.cache_dir)
+        checks = verify_table1(args.cache_dir)
     elif args.name == "thm-q3":
-        checks = verify_thm_q3(args.threads, args.cache_dir)
+        checks = verify_thm_q3(args.cache_dir)
     elif args.name == "thm-3move":
-        checks = verify_thm_3move(args.threads, args.cache_dir)
+        checks = verify_thm_3move(args.cache_dir)
     else:
         checks = verify_fours()
     passed = sum(1 for c in checks if c["pass"])
@@ -374,9 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--cache-dir", default=os.environ.get("RIDERTYPES_CACHE"),
                         help="content-addressed result cache directory")
-    parser.add_argument("--threads", type=_positive_int, default=1,
-                        help="parallel workers for per-prime counts (at most "
-                             "one per prime and per CPU)")
     parser.add_argument("-o", "--output", default=None,
                         help="write the JSON report to a file instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -464,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
     except (GeometryError, OSError) as exc:  # OSError: an unwritable -o or cache path
         _log(f"error: {exc}")
         return EXIT_USAGE
-    except ExceptionalPrimeError as exc:
+    except EngineError as exc:
         _log(f"engine error: {exc}")
         return EXIT_ENGINE
 

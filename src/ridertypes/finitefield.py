@@ -33,7 +33,11 @@ VALIDATION_PRIMES = 2
 ATTEMPTS = 3
 
 
-class ExceptionalPrimeError(RuntimeError):
+class EngineError(RuntimeError):
+    """The ff engine could not produce a result; the CLI exits 3."""
+
+
+class ExceptionalPrimeError(EngineError):
     """Interpolation detected an inconsistent prime sample."""
 
 

@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import itertools
 import json
+import math
+import os
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 from ridertypes import cli, finitefield
 from ridertypes.cli import PIECES, main
@@ -109,6 +116,46 @@ def test_corrupt_cache_entries_are_recomputed(tmp_path, capsys):
     assert "cache hit" in err4 and "does not parse" not in err4
 
 
+def test_cache_entry_answers_only_its_own_query(tmp_path, capsys):
+    # entries filed under another query's key (other moves, or other options
+    # that the engine keeps in metadata), or with a q or exact of the wrong
+    # type, are misses: recomputed, noted once and replaced
+    def run(cache, *argv):
+        return run_cli(capsys, "--cache-dir", str(cache), "types", *argv)
+
+    census = ("--q", "3", "--engine", "geometric", "--check")
+    code, fresh, _ = run(tmp_path / "queen", "--moves", "queen", *census)
+    assert code == 0
+    (entry,) = (tmp_path / "queen").iterdir()
+    good = json.loads(entry.read_text())
+    run(tmp_path / "semiqueen", "--moves", "semiqueen", *census)
+    (other,) = (tmp_path / "semiqueen").iterdir()
+    run(tmp_path / "refined", "--moves", "queen", *census, "--refinement", "2")
+    (refined,) = (tmp_path / "refined").iterdir()
+    assert json.loads(refined.read_text())["metadata"]["refinement"] == 2
+    for bad in (json.loads(other.read_text()), json.loads(refined.read_text()),
+                dict(good, exact="false"), dict(good, q="3"), dict(good, q=3.0)):
+        entry.write_text(json.dumps(bad))
+        code, out, err = run(tmp_path / "queen", "--moves", "queen", *census)
+        assert (code, out) == (0, fresh), bad["moves"]
+        assert err.count("does not parse") == 1 and "cache hit" not in err
+        assert json.loads(entry.read_text()) == good
+
+    ff = ("--q", "3", "--engine", "ff")
+    code, fresh, _ = run(tmp_path / "ff-semiqueen", "--moves", "semiqueen", *ff)
+    assert code == 0
+    run(tmp_path / "ff-queen", "--moves", "queen", *ff)
+    by_prime = lambda d: {json.loads(e.read_text())["p"]: e for e in d.iterdir()}
+    semiqueen, queen = by_prime(tmp_path / "ff-semiqueen"), by_prime(tmp_path / "ff-queen")
+    p = min(set(semiqueen) & set(queen))
+    good = semiqueen[p].read_text()
+    semiqueen[p].write_text(queen[p].read_text())
+    code, out, err = run(tmp_path / "ff-semiqueen", "--moves", "semiqueen", *ff)
+    assert (code, out) == (0, fresh)
+    assert err.count("does not parse") == 1
+    assert semiqueen[p].read_text() == good
+
+
 def test_census_entry_with_a_broken_type_is_a_miss(tmp_path, capsys):
     argv = ("--cache-dir", str(tmp_path), "types", "--moves", "trident",
             "--q", "3", "--engine", "geometric")
@@ -153,17 +200,9 @@ def test_census_cache_key_holds_only_what_the_engine_reads(tmp_path, capsys):
     assert len(list(tmp_path.iterdir())) == 4
 
 
-def test_threads_below_one_rejected(capsys):
-    for value in ("0", "-2"):
-        code, out, err = run_cli(capsys, "--threads", value, "types",
-                                 "--moves", "rook", "--q", "2")
-        assert code == 2
-        assert out == ""
-        assert "--threads" in err
-
-
-def test_worker_pool_is_capped(monkeypatch):
-    sizes = []
+def recording_pool(sizes: list, broken: bool = False):
+    """A stand-in for ProcessPoolExecutor that records its size and maps in
+    this process, or whose map fails as if a worker had died."""
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -176,18 +215,76 @@ def test_worker_pool_is_capped(monkeypatch):
             return False
 
         def map(self, fn, items):
-            return [fn(item) for item in items]
+            if broken:
+                raise BrokenProcessPool("a worker died")
+            RecordingPool.mapped = list(items)
+            return [fn(item) for item in RecordingPool.mapped]
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+def test_worker_pool_is_capped(tmp_path, monkeypatch):
+    # serial below POOL_MIN_Q for any CPU count; from it on, one worker per
+    # missing prime and per usable CPU
+    sizes = []
+    pool = recording_pool(sizes)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    fake = lambda ms, q, p: p * p * (p - 1) * math.factorial(q)  # meets the invariant
+    monkeypatch.setattr(cli, "torus_count", fake)
     ms = parse_moves(PIECES["trident"])
     primes = valid_primes_from(ms, 11, 5)
-    serial = cli._torus_counts(ms, 2, primes, 1, None)
-    for cpus, threads, expected in ((3, 64, [3]), (64, 64, [5]), (64, 2, [2]),
-                                    (1, 8, []), (None, 8, [])):
+    assert cli.POOL_MIN_Q == 5
+    for q, cpus, expected in ((2, 64, []), (4, 64, []), (4, 3, []),
+                              (5, 3, [3]), (5, 64, [5]), (5, 1, [])):
         sizes.clear()
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        assert cli._torus_counts(ms, 2, primes, threads, None) == serial
-        assert sizes == expected, (cpus, threads)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        assert cli._torus_counts(ms, q, primes, None) == \
+            {p: fake(ms, q, p) for p in primes}
+        assert sizes == expected, (q, cpus)
+    assert pool.mapped == sorted(primes, reverse=True)  # largest count first
+    # primes already cached need no worker
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+    cache = str(tmp_path)
+    cli._torus_counts(ms, 5, primes[:3], cache)
+    sizes.clear()
+    assert cli._torus_counts(ms, 5, primes, cache) == \
+        {p: fake(ms, 5, p) for p in primes}
+    assert sizes == [2] and pool.mapped == sorted(primes[3:], reverse=True)
+
+
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert cli._usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._usable_cpus() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._usable_cpus() == 1
+
+
+def test_dead_pool_worker_is_an_engine_error(tmp_path, capsys, monkeypatch):
+    # a broken pool is reported once with exit 3, not retried as an
+    # exceptional prime, and caches nothing
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        recording_pool(sizes, broken=True))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path), "types",
+                             "--moves", "semiqueen", "--q", "5")
+    assert (code, out) == (3, "")
+    assert sizes == [2]
+    assert err.count("engine error:") == 1 and "worker died" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import ridertypes.cli; "
+            "print('multiprocessing' in sys.modules)")
+    result = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+                            capture_output=True, text=True, check=True, timeout=60)
+    assert result.stdout == "False\n"
 
 
 def test_ff_retry_primes_go_through_the_cache(tmp_path, monkeypatch):
@@ -431,8 +528,9 @@ def test_output_to_file(tmp_path, capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    # a missing --moves; the removed witness search budget
-    for argv in (("types", "--q", "2"), ("verify", "fours", "--budget", "5")):
+    # a missing --moves; the removed witness search budget and worker count
+    for argv in (("types", "--q", "2"), ("verify", "fours", "--budget", "5"),
+                 ("--threads", "2", "types", "--moves", "rook", "--q", "2")):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""

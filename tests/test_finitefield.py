@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from oracles import (
 )
 
 from ridertypes import finitefield
-from ridertypes.cli import PIECES, family_movesets
+from ridertypes.cli import PIECES, family_movesets, main
 from ridertypes.finitefield import (
     MAX_PRIME,
     CharPoly,
@@ -311,16 +312,23 @@ def test_ff_type_count_report():
         assert result.poly(p) == count
 
 
-def test_ff_semiqueen_q5_matches_golden():
+def test_ff_semiqueen_q5_matches_golden(tmp_path, capsys):
     # the first cases past the closed forms that the ff engine computes: the
-    # three 3-move riders share one polynomial, and queens give 14206
-    chi = (0, 0, 27072, -70200, 72610, -40740, 13862, -2970, 395, -30, 1)
-    for ms in (SEMIQUEEN, TRIDENT, THIRD):
-        result = ff_type_count(ms, 5)
-        assert result.poly.coefficients == chi, str(ms)
-        assert result.unlabelled == known_types(5, 3)[0] == 1899
-        assert result.labelled == 120 * 1899
-    assert ff_type_count(QUEEN, 5).unlabelled == known_types(5, 4)[0] == 14206
+    # three 3-move riders share one polynomial, and queens give 14206.  They
+    # run through the CLI, which spreads the 13 per-prime counts of q = 5
+    # over a process pool on a host with two or more CPUs, and caches them
+    chi = [0, 0, 27072, -70200, 72610, -40740, 13862, -2970, 395, -30, 1]
+    for i, ms in enumerate((SEMIQUEEN, TRIDENT, THIRD, QUEEN)):
+        cache = tmp_path / str(i)
+        code = main(["--cache-dir", str(cache), "types", "--moves", str(ms),
+                     "--q", "5", "--check"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0, str(ms)
+        expected = known_types(5, ms.r)[0]
+        assert report["unlabelled"] == expected == (1899 if ms.r == 3 else 14206)
+        assert report["labelled"] == 120 * expected
+        assert (report["charpoly"] == chi) == (ms.r == 3), str(ms)
+        assert len(list(cache.iterdir())) == 13
 
 
 def test_ff_accepts_precomputed_counts(monkeypatch):
