@@ -129,11 +129,11 @@ def _cached_census(ms: MoveSet, q: int, engine: str, read: dict,
 
 
 # Per-prime counts go to a process pool from this q on, and are counted in
-# this process below it.  Measured on a 2-vCPU host: starting a pool costs
-# 8-16 ms and one count at q <= 4 about 1 ms, so at q = 4 `run_ff` takes
-# 10-22 ms on two workers against 2-6 ms serially.  At q = 5 the semiqueen
-# (13 primes, fresh cache) takes 1.25 s on two workers against 2.24 s
-# serially.
+# this process below it.  Measured on a 2-vCPU host, fresh cache, medians
+# of 3 to 5 runs: starting a pool costs 8-16 ms, so at q = 4 (7 primes)
+# `run_ff` takes 10-12 ms on two workers against about 2 ms serially.  At
+# q = 5 (9 primes, 11..41) the three 3-move riders and queens take
+# 0.28-0.38 s on two workers against 0.37-0.62 s serially.
 POOL_MIN_Q = 5
 
 
@@ -409,8 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ridertypes",
         description="Census of combinatorial types of nonattacking chess riders",
     )
-    parser.add_argument("--cache-dir", default=os.environ.get("RIDERTYPES_CACHE"),
-                        help="content-addressed result cache directory")
+    parser.add_argument("--cache-dir", default=None,
+                        help="content-addressed result cache directory "
+                             "(default: $RIDERTYPES_CACHE)")
     parser.add_argument("-o", "--output", default=None,
                         help="write the JSON report to a file instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -484,12 +485,20 @@ def _parse_range(text: str) -> tuple[int, int]:
     return (lo_i, hi_i)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first `main` call, not at import, and kept: parsing
+    # leaves the parser as it was
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    if args.cache_dir is None:  # read per call: the environment may change
+        args.cache_dir = os.environ.get("RIDERTYPES_CACHE")
     if args.command == "count" and args.n is None and args.n_range is None:
         _log("count needs --n or --n-range")
         return EXIT_USAGE

@@ -4,9 +4,10 @@ A labelled type is a region of the arrangement in R^(2q) whose hyperplanes
 say "piece k sits on a move line of piece i".  Counting the q-tuples over
 F_p x F_p that avoid every attack line, for enough good primes p, pins down
 the integer characteristic polynomial by interpolation; evaluating it at -1
-gives the region count.  Exceptional primes are caught operationally: extra
-validation primes must reproduce the interpolated polynomial exactly or the
-run fails and retries with larger primes.
+gives the region count.  Only the part of the polynomial that is not known
+in advance is interpolated (see `char_poly`).  Exceptional primes are caught
+operationally: extra validation primes must reproduce the interpolated
+polynomial exactly or the run fails and retries with larger primes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .placement import count_sets, torus_line_masks
 # r <= 6 at p = 257.  A floor above it is rejected before any prime search.
 MAX_PRIME = 257
 
-# Primes counted beyond the 2q + 1 that interpolation needs; the polynomial
+# Primes counted beyond the 2q - 3 that interpolation needs; the polynomial
 # must fit each of them exactly.
 VALIDATION_PRIMES = 2
 
@@ -292,29 +293,60 @@ def interpolate(points: list[tuple[int, int]]) -> tuple[list[int], int]:
     return nums, den
 
 
+def window_size(q: int) -> int:
+    """Primes in one window of `ff_type_count`: the 2q - 3 that `char_poly`
+    interpolates through (none at q = 1), plus VALIDATION_PRIMES."""
+    return max(2 * q - 3, 0) + VALIDATION_PRIMES
+
+
 def char_poly(q: int, primes: list[int], counts: dict[int, int]) -> CharPoly:
-    """Interpolate the degree-2q characteristic polynomial through the
-    per-prime torus counts, then verify it: monic, divisible by t^2, integer
-    coefficients, and an exact fit on every prime beyond the first 2q+1.
+    """The characteristic polynomial chi of the configuration arrangement,
+    from the torus counts chi(p) at the primes.
+
+    For q >= 2, chi(t) = t^2 (t - 1) g(t) with g monic of degree 2q - 3.
+    chi is monic of degree 2q, the dimension of the space.  Translating
+    every piece by the same vector breaks no hyperplane, so t^2 divides chi.
+    The arrangement is central and nonempty, so chi(1) = 0.  Hence every
+    count must be divisible by p^2 (p - 1), and only h(t) = g(t) - t^(2q-3),
+    of degree <= 2q - 4, is unknown.  h is interpolated through
+    h(p) = counts[p] / (p^2 (p - 1)) - p^(2q-3) at the first 2q - 3 primes,
+    must have integer coefficients, and chi = t^2 (t - 1) (t^(2q-3) + h)
+    must be exact at every later prime.  At q = 1, chi = t^2, checked at
+    every prime.
+
+    A window of `window_size(q)` primes with 1 or 2 (VALIDATION_PRIMES)
+    wrong counts is rejected.  Were some chi' accepted, (chi' - chi) /
+    (t^2 (t - 1)) would have degree <= 2q - 4 and vanish at the >= 2q - 3
+    primes whose counts are right, so chi' = chi, which fits no wrong count.
+    Fitting all 2q + 1 coefficients through 2q + 3 primes, then checking
+    that chi is monic and divisible by t^2, could in theory catch up to 5
+    wrong counts; the worst-case guarantee drops from 5 to 2, and the 4
+    largest, costliest primes go.
     """
-    need = 2 * q + 1
+    need = window_size(q)
     if len(primes) < need:
-        raise GeometryError(f"need at least {need} primes for degree {2 * q}")
+        raise GeometryError(f"need at least {need} primes at q = {q}")
     if len(set(primes)) != len(primes):
         raise GeometryError("primes must be pairwise distinct")
-    base, validation = primes[:need], primes[need:]
-    nums, den = interpolate([(p, counts[p]) for p in base])
-    if any(n % den for n in nums):
-        raise ExceptionalPrimeError(
-            f"non-integer coefficients from primes {base}; retry with larger primes"
-        )
-    ints = [n // den for n in nums]
-    if ints[-1] != 1:
-        raise ExceptionalPrimeError(f"leading coefficient {ints[-1]} != 1 from primes {base}")
-    if ints[0] != 0 or ints[1] != 0:
-        raise ExceptionalPrimeError(f"polynomial not divisible by t^2 from primes {base}")
-    poly = CharPoly(tuple(ints))
-    for p in validation:
+    if q == 1:
+        base, poly = [], CharPoly((0, 0, 1))
+    else:
+        for p in primes:
+            if counts[p] % (p * p * (p - 1)):
+                raise ExceptionalPrimeError(
+                    f"count {counts[p]} at p = {p} is not divisible by p^2 (p - 1)")
+        top = 2 * q - 3
+        base = primes[:top]
+        nums, den = interpolate(
+            [(p, counts[p] // (p * p * (p - 1)) - p ** top) for p in base])
+        if any(n % den for n in nums):
+            raise ExceptionalPrimeError(
+                f"non-integer coefficients from primes {base}; retry with larger primes"
+            )
+        g = [n // den for n in nums] + [1]
+        # t^2 (t - 1) g(t), ascending
+        poly = CharPoly((0, 0, *(lo - hi for lo, hi in zip([0, *g], [*g, 0]))))
+    for p in primes[len(base):]:
         if poly(p) != counts[p]:
             raise ExceptionalPrimeError(
                 f"validation prime {p} disagrees with the interpolated polynomial"
@@ -335,9 +367,9 @@ def ff_type_count(ms: MoveSet, q: int, prime_floor: int = 11,
                   ) -> FFTypeCount:
     """Labelled and unlabelled type counts from the finite-field engine.
 
-    Primes are the smallest valid ones at or above the floor, plus
-    VALIDATION_PRIMES more; an exceptional sample is retried with larger
-    primes, ATTEMPTS windows in all.  `count(primes)` gives the torus count
+    Each window holds the `window_size(q)` smallest valid primes at or above
+    the floor; an exceptional sample is retried with the next larger window,
+    ATTEMPTS windows in all.  `count(primes)` gives the torus count
     of each prime, for every attempt; the default counts them one by one
     with `torus_count`.
     """
@@ -346,7 +378,7 @@ def ff_type_count(ms: MoveSet, q: int, prime_floor: int = 11,
     if count is None:
         count = lambda primes: {p: torus_count(ms, q, p) for p in primes}
     for _ in range(ATTEMPTS):
-        primes = valid_primes_from(ms, prime_floor, 2 * q + 1 + VALIDATION_PRIMES)
+        primes = valid_primes_from(ms, prime_floor, window_size(q))
         counts = count(primes)
         try:
             poly = char_poly(q, primes, counts)

@@ -87,30 +87,39 @@ def test_corrupt_cache_entries_are_recomputed(tmp_path, capsys):
     code1, out1, _ = run_cli(capsys, *ff)
     assert code1 == 0
     entries = sorted(tmp_path.iterdir())
-    assert len(entries) == 9 and all(e.suffix == ".json" for e in entries)
+    assert len(entries) == finitefield.window_size(3) == 5
+    assert all(e.suffix == ".json" for e in entries)
     fresh = [json.loads(e.read_text()) for e in entries]
     code_g, out_g, _ = run_cli(capsys, *geometric)
     assert code_g == 0
     (census_entry,) = set(tmp_path.iterdir()) - set(entries)
-    entries[0].write_text('{"count": 12')  # cut short
-    entries[1].write_bytes(b"\xff\xfe")  # not UTF-8
-    entries[2].write_text("[1, 2]")  # not an object
-    entries[3].write_text("{}")  # parses, but has no count
-    entries[4].write_text('{"count": "x"}')  # count not an integer
-    entries[5].write_text('{"count": null}')
-    entries[6].write_text('{"count": 12.5}')  # int() would truncate it
-    # well formed, but off by one: breaks the torus invariant
-    entries[7].write_text(json.dumps(dict(fresh[7], count=fresh[7]["count"] - 1)))
+    spoilers = [
+        lambda good: b'{"count": 12',  # cut short
+        lambda good: b"\xff\xfe",  # not UTF-8
+        lambda good: b"[1, 2]",  # not an object
+        lambda good: b"{}",  # parses, but has no count
+        lambda good: b'{"count": "x"}',  # count not an integer
+        lambda good: b'{"count": null}',
+        lambda good: b'{"count": 12.5}',  # int() would truncate it
+        # well formed, but off by one: breaks the torus invariant
+        lambda good: json.dumps(dict(good, count=good["count"] - 1)).encode(),
+    ]
     census_entry.write_text("{}")  # parses, but has no types
-    code2, out2, err2 = run_cli(capsys, *ff)
     code3, out3, err3 = run_cli(capsys, *geometric)
-    assert (code2, out2, code3, out3) == (0, out1, 0, out_g)
-    assert err2.count("does not parse") == 8
+    assert (code3, out3) == (0, out_g)
     assert err3.count("does not parse") == 1
-    assert "Traceback" not in err2 + err3
-    # no temporary files left
-    assert sorted(tmp_path.iterdir()) == sorted(entries + [census_entry])
-    assert [json.loads(e.read_text()) for e in entries] == fresh
+    # more spoilers than entries: one round per window's worth
+    for start in range(0, len(spoilers), len(entries)):
+        batch = spoilers[start:start + len(entries)]
+        for entry, good, spoil in zip(entries, fresh, batch):
+            entry.write_bytes(spoil(good))
+        code2, out2, err2 = run_cli(capsys, *ff)
+        assert (code2, out2) == (0, out1)
+        assert err2.count("does not parse") == len(batch)
+        assert "Traceback" not in err2 + err3
+        # no temporary files left
+        assert sorted(tmp_path.iterdir()) == sorted(entries + [census_entry])
+        assert [json.loads(e.read_text()) for e in entries] == fresh
     code4, out4, err4 = run_cli(capsys, *geometric)
     assert (code4, out4) == (0, out_g)
     assert "cache hit" in err4 and "does not parse" not in err4
@@ -307,8 +316,9 @@ def test_ff_retry_primes_go_through_the_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_torus_counts", recording_counts)
     monkeypatch.setattr(finitefield, "char_poly", fail_once)
     report = cli.run_ff(ms, 2, 11, 1, str(tmp_path))
-    first = valid_primes_from(ms, 11, 7)
-    assert asked == [first, valid_primes_from(ms, first[-1] + 1, 7)]
+    size = finitefield.window_size(2)
+    first = valid_primes_from(ms, 11, size)
+    assert asked == [first, valid_primes_from(ms, first[-1] + 1, size)]
     assert report["primes"] == asked[1]
     assert report["unlabelled"] == 3
     for p in asked[0] + asked[1]:
@@ -331,7 +341,7 @@ def test_every_attempt_exceptional_exits_3(tmp_path, capsys, monkeypatch):
     ms = parse_moves(PIECES["trident"])
     windows, floor = [], 11
     for _ in range(finitefield.ATTEMPTS):
-        windows.append(valid_primes_from(ms, floor, 2 * 2 + 1 + finitefield.VALIDATION_PRIMES))
+        windows.append(valid_primes_from(ms, floor, finitefield.window_size(2)))
         floor = windows[-1][-1] + 1
     assert len(windows) == 3
     cached = sorted(json.loads(e.read_text())["p"] for e in tmp_path.iterdir())
@@ -581,6 +591,28 @@ def test_queen_only_golden_entries_follow_the_queen_class(capsys):
     assert code == 0
     assert json.loads(out)["golden"] == {"value": 574, "annotation": "queen-only",
                                          "verdict": "match"}
+
+
+def test_parser_is_built_once_and_reads_the_cache_env_per_call(tmp_path, capsys,
+                                                              monkeypatch):
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    argv = ("types", "--moves", "trident", "--q", "2", "--engine", "geometric")
+    for name in ("a", "b"):
+        monkeypatch.setenv("RIDERTYPES_CACHE", str(tmp_path / name))
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(list((tmp_path / name).iterdir())) == 1
+    # --cache-dir still wins over the environment
+    assert run_cli(capsys, "--cache-dir", str(tmp_path / "c"), *argv)[0] == 0
+    assert len(list((tmp_path / "b").iterdir())) == 1
+    assert len(list((tmp_path / "c").iterdir())) == 1
+    monkeypatch.delenv("RIDERTYPES_CACHE")
+    assert run_cli(capsys, *argv)[0] == 0
+    assert run_cli(capsys, "types", "--q", "2")[0] == 2  # no --moves
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "c"]
+    assert builds == [1]
 
 
 def test_verify_thm_3move_checks_are_defined():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from ridertypes.finitefield import (
     valid_prime,
     valid_primes_from,
     valid_torus_count,
+    window_size,
 )
 from ridertypes.formulas import known_types, t3_closed_form
 from ridertypes.geometry import GeometryError, parse_moves
@@ -229,26 +231,40 @@ def test_char_poly_q2_queen():
     assert poly(-1) == 8
 
 
+NOT_DIVISIBLE = r"not divisible by p\^2 \(p - 1\)"
+
+
 def test_char_poly_validates_held_out_primes():
-    primes = valid_primes_from(QUEEN, 5, 8)
-    counts = {p: torus_count(QUEEN, 2, p) for p in primes}
-    counts[primes[-1]] += 1  # corrupt one validation prime
-    with pytest.raises(ExceptionalPrimeError) as err:
-        char_poly(2, primes, counts)
-    assert str(primes[-1]) in str(err.value)
+    primes, counts = counted(QUEEN, 2, valid_primes_from(QUEEN, 5, 8))
+    last = primes[-1]
+    # off by one breaks divisibility by p^2 (p - 1); off by p^2 (p - 1)
+    # reaches the fit at the validation prime
+    for error in (1, last * last * (last - 1)):
+        bad = dict(counts)
+        bad[last] += error  # corrupt one validation prime
+        with pytest.raises(ExceptionalPrimeError) as err:
+            char_poly(2, primes, bad)
+        assert str(last) in str(err.value)
 
 
 def test_char_poly_rejects_non_integer_coefficients():
     primes, counts = counted(QUEEN, 2, valid_primes_from(QUEEN, 5, 7))
     counts[primes[0]] += 1  # one interpolation prime off by one
-    with pytest.raises(ExceptionalPrimeError, match="non-integer coefficients"):
+    with pytest.raises(ExceptionalPrimeError, match=NOT_DIVISIBLE):
         char_poly(2, primes, counts)
+    # off by p^2 (p - 1) instead, at q = 3, where h has degree 2
+    primes, counts = counted(QUEEN, 3, valid_primes_from(QUEEN, 5, 5))
+    counts[primes[0]] += primes[0] ** 2 * (primes[0] - 1)
+    with pytest.raises(ExceptionalPrimeError, match="non-integer coefficients"):
+        char_poly(3, primes, counts)
 
 
 def test_char_poly_rejects_non_monic():
+    # a doubled chi is still divisible by t^2 (t - 1), so it gets as far as
+    # the validation primes
     primes, counts = counted(QUEEN, 2, valid_primes_from(QUEEN, 5, 7))
     doubled = {p: 2 * count for p, count in counts.items()}
-    with pytest.raises(ExceptionalPrimeError, match="leading coefficient 2 != 1"):
+    with pytest.raises(ExceptionalPrimeError, match="validation prime 7 disagrees"):
         char_poly(2, primes, doubled)
 
 
@@ -256,8 +272,26 @@ def test_char_poly_rejects_no_t_squared_factor():
     primes, counts = counted(QUEEN, 2, valid_primes_from(QUEEN, 5, 7))
     for shift in ({p: 7 for p in primes}, {p: 3 * p for p in primes}):
         shifted = {p: count + shift[p] for p, count in counts.items()}
-        with pytest.raises(ExceptionalPrimeError, match="not divisible by t\\^2"):
+        with pytest.raises(ExceptionalPrimeError, match=NOT_DIVISIBLE):
             char_poly(2, primes, shifted)
+
+
+def test_char_poly_rejects_any_two_wrong_counts():
+    # a wrong count that keeps the torus counts' divisibility, by p^2 (p - 1)
+    # and (q - 2)!, at any 1 or 2 primes of a window is rejected
+    for q in (2, 3, 4):
+        window = valid_primes_from(SEMIQUEEN, 11, window_size(q))
+        primes, counts = counted(SEMIQUEEN, q, window)
+        chi = char_poly(q, primes, counts)
+        assert all(chi(p) == counts[p] for p in primes)
+        for k in (1, 2):
+            for wrong in itertools.combinations(primes, k):
+                for factors in itertools.product((-2, -1, 1, 2), repeat=k):
+                    bad = dict(counts)
+                    for p, m in zip(wrong, factors):
+                        bad[p] += m * p * p * (p - 1) * math.factorial(q - 2)
+                    with pytest.raises(ExceptionalPrimeError):
+                        char_poly(q, primes, bad)
 
 
 def test_interpolate_matches_fraction_lagrange():
@@ -307,7 +341,7 @@ def test_ff_type_count_report():
     assert result.labelled == 8
     assert result.unlabelled == 4
     assert result.poly.degree == 4
-    assert list(result.counts) == valid_primes_from(QUEEN, 11, 7)
+    assert list(result.counts) == valid_primes_from(QUEEN, 11, window_size(2))
     for p, count in result.counts.items():
         assert result.poly(p) == count
 
@@ -315,7 +349,7 @@ def test_ff_type_count_report():
 def test_ff_semiqueen_q5_matches_golden(tmp_path, capsys):
     # the first cases past the closed forms that the ff engine computes: the
     # three 3-move riders share one polynomial, and queens give 14206.  They
-    # run through the CLI, which spreads the 13 per-prime counts of q = 5
+    # run through the CLI, which spreads the 9 per-prime counts of q = 5
     # over a process pool on a host with two or more CPUs, and caches them
     chi = [0, 0, 27072, -70200, 72610, -40740, 13862, -2970, 395, -30, 1]
     for i, ms in enumerate((SEMIQUEEN, TRIDENT, THIRD, QUEEN)):
@@ -328,11 +362,11 @@ def test_ff_semiqueen_q5_matches_golden(tmp_path, capsys):
         assert report["unlabelled"] == expected == (1899 if ms.r == 3 else 14206)
         assert report["labelled"] == 120 * expected
         assert (report["charpoly"] == chi) == (ms.r == 3), str(ms)
-        assert len(list(cache.iterdir())) == 13
+        assert len(list(cache.iterdir())) == window_size(5) == 9
 
 
 def test_ff_accepts_precomputed_counts(monkeypatch):
-    primes = valid_primes_from(TRIDENT, 11, 7)
+    primes = valid_primes_from(TRIDENT, 11, window_size(2))
     counts = {p: torus_count(TRIDENT, 2, p) for p in primes}
     asked = []
 
@@ -365,3 +399,27 @@ def test_three_move_riders_agree_for_small_q():
             result = ff_type_count(ms, q)
             counts[str(ms)] = (result.labelled, result.unlabelled)
         assert len(set(counts.values())) == 1, (q, counts)
+
+
+def test_window_sizes():
+    assert [window_size(q) for q in range(1, 7)] == [2, 3, 5, 7, 9, 11]
+
+
+def test_nightrider_q4_windows(monkeypatch):
+    # the nightrider's counts at 7, 17 and 41 are not chi(p), so the windows
+    # 11..31 and 37..61 are rejected, and 67..97 gives 576
+    windows = []
+    real = finitefield.char_poly
+
+    def recording(q, primes, counts):
+        windows.append((primes[0], primes[-1]))
+        return real(q, primes, counts)
+
+    monkeypatch.setattr(finitefield, "char_poly", recording)
+    result = ff_type_count(NIGHTRIDER, 4)
+    assert windows == [(11, 31), (37, 61), (67, 97)]
+    assert result.unlabelled == 576
+    assert list(result.counts) == valid_primes_from(NIGHTRIDER, 67, window_size(4))
+    bad = {p for p in valid_primes_from(NIGHTRIDER, 2, 22)
+           if torus_count(NIGHTRIDER, 4, p) != result.poly(p)}
+    assert bad == {7, 17, 41}
