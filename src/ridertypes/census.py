@@ -216,28 +216,34 @@ def geometric_census(ms: MoveSet, q: int, refinement: int = 1) -> Census:
     r = ms.r
     index_of = cone_of_pattern(ms.moves)
     pairs = key_pairs(q)
-    # (pieces, {(i, k): cone index}), pieces labelled 1, 2, ... in order
-    level: list[tuple[tuple[Point, ...], dict]] = [((ORIGIN,), {})]
-    keys = {()} if q == 1 else set()
-    placements = 1 if q == 1 else 0
-    for new in range(2, q + 1):
-        extended = []
-        for cfg, cones in level:
-            arr = configuration_arrangement(ms, cfg)
-            for sv, pts in region_sample_points(arr, refinement).items():
-                grown = dict(cones)
-                for i in range(1, new):
-                    g = index_of[sv[(i - 1) * r:i * r]]
-                    grown[(i, new)] = g
-                    grown[(new, i)] = antipode(g, r)
-                if new < q:
-                    extended.extend((cfg + (p,), grown) for p in pts)
-                else:
-                    keys.add(tuple(grown[pair] for pair in pairs))
-                    placements += len(pts)
-        level = extended
+    types: set[LabelledType] = set()
+    keys = {()} if q == 1 else set()  # labelled, not yet in `types`
+
+    def place(cfg: tuple[Point, ...], cones: dict) -> int:
+        # the placements completed from `cfg`, depth first; keys go to `types`
+        # in batches of 2^12, so memory does not grow with the placements
+        new = len(cfg) + 1  # pieces labelled 1, 2, ...; cones {(i, k): g}
+        placed = 0
+        arr = configuration_arrangement(ms, cfg)
+        for sv, pts in region_sample_points(arr, refinement).items():
+            grown = dict(cones)
+            for i in range(1, new):
+                g = index_of[sv[(i - 1) * r:i * r]]
+                grown[(i, new)] = g
+                grown[(new, i)] = antipode(g, r)
+            if new < q:
+                placed += sum(place(cfg + (p,), grown) for p in pts)
+            else:
+                keys.add(tuple(grown[pair] for pair in pairs))
+                placed += len(pts)
+        if len(keys) >= 1 << 12:
+            types.update(_keys_to_types(keys, q, r))
+            keys.clear()
+        return placed
+
+    placements = place((ORIGIN,), {}) if q > 1 else 1
     return Census(
-        ms, q, "geometric", _keys_to_types(keys, q, r), q <= 3,
+        ms, q, "geometric", _keys_to_types(keys, q, r) | types, q <= 3,
         {"refinement": refinement, "placements": placements},
     )
 
@@ -403,21 +409,22 @@ def census_from_dict(data: dict) -> Census:
 
 # Hashed into every cache key.  Raise it whenever an engine's results or
 # their encoding change, so that entries written by older code are not served.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 
-def cache_key(kind: str, payload: dict) -> str:
-    body = json.dumps([CACHE_SCHEMA, kind, payload], sort_keys=True)
+def cache_key(kind: str, query: dict) -> str:
+    body = json.dumps([CACHE_SCHEMA, kind, query], sort_keys=True)
     return hashlib.sha256(body.encode()).hexdigest()
 
 
 def cache_load(cache_dir: str | os.PathLike | None, key: str,
-               decode: Callable[[dict], object]):
-    """`decode` of the cached entry for `key`, or None on a miss.
+               decode: Callable[[object], object]):
+    """`decode` of the value cached under `key`, or None on a miss.
 
-    An entry that does not parse as a JSON object, or that `decode` cannot
-    read (a missing key, a value of the wrong type or form), counts as a miss
-    and is noted on stderr; the caller recomputes it and `cache_store`
+    One rule decides a hit: the entry's kind and query hash back to `key`.
+    Any other entry, or one that does not parse or whose value `decode`
+    cannot read (a missing key, a value of the wrong type or form), is a
+    miss noted on stderr; the caller recomputes it and `cache_store`
     replaces it.
     """
     if cache_dir is None:
@@ -425,28 +432,30 @@ def cache_load(cache_dir: str | os.PathLike | None, key: str,
     path = os.path.join(cache_dir, f"{key}.json")
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if isinstance(data, dict):
-            return decode(data)
+            entry = json.load(fh)
+        if cache_key(entry["kind"], entry["query"]) == key:
+            return decode(entry["value"])
     except FileNotFoundError:
         return None
-    except (LookupError, TypeError, ValueError, AttributeError):
+    except (LookupError, TypeError, ValueError, AttributeError, RecursionError):
         pass  # ValueError also covers bad JSON and bad UTF-8
     print(f"cache entry {path} does not parse as an entry; recomputing", file=sys.stderr)
     return None
 
 
-def cache_store(cache_dir: str | os.PathLike | None, key: str, data: dict) -> None:
-    """Write the entry atomically: a temporary file in the cache directory,
-    then `os.replace`, so a reader never sees a partly written entry."""
+def cache_store(cache_dir: str | os.PathLike | None, kind: str, query: dict,
+                value: object) -> None:
+    """Write {"kind", "query", "value"} under `cache_key(kind, query)`: to a
+    temporary file, then `os.replace`, so no reader sees a partial entry."""
     if cache_dir is None:
         return
     os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"{key}.json")
+    path = os.path.join(cache_dir, f"{cache_key(kind, query)}.json")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(data, sort_keys=True))
+            fh.write(json.dumps({"kind": kind, "query": query, "value": value},
+                                sort_keys=True))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -107,25 +107,17 @@ def _resolve_moves(text: str) -> MoveSet:
     return parse_moves(PIECES.get(text, text))
 
 
-def _cached_count(ms: MoveSet, q: int, p: int, entry: dict) -> int:
-    # a miss, like an entry that does not parse
-    if (entry["moves"], entry["q"], entry["p"]) != (str(ms), q, p):
-        raise ValueError("entry holds the count of another query")
-    count = operator.index(entry["count"])
+def _cached_count(q: int, p: int, value: object) -> int:
+    count = operator.index(value)
     if not valid_torus_count(q, p, count):
         raise ValueError(f"count {count} breaks the torus invariant at p = {p}")
     return count
 
 
-def _cached_census(ms: MoveSet, q: int, engine: str, read: dict,
-                   entry: dict) -> Census:
-    # a miss, like an entry that does not parse; the engine keeps some of
-    # the options it read (refinement, samples, seed, n, window) in metadata
-    census = census_from_dict(entry)
-    if ((entry["moves"], census.q, census.engine) != (str(ms), q, engine)
-            or any(census.metadata.get(k, v) != v for k, v in read.items())):
-        raise ValueError("entry holds the census of another query")
-    return census
+def _cached_census(query: dict, value: dict) -> Census:
+    if any(value[k] != query[k] for k in ("moves", "q", "engine")):
+        raise ValueError("the value holds the census of another query")
+    return census_from_dict(value)
 
 
 # Per-prime counts go to a process pool from this q on, and are counted in
@@ -150,14 +142,15 @@ def _torus_counts(ms: MoveSet, q: int, primes: list[int],
     POOL_MIN_Q on, missing primes are spread over one worker per prime and
     per usable CPU."""
     counts: dict[int, int] = {}
-    missing: dict[int, str] = {}  # prime -> cache key
+    missing: dict[int, dict] = {}  # prime -> cache query
     for p in primes:
-        key = cache_key("prime-count", {"moves": str(ms), "q": q, "p": p})
-        hit = cache_load(cache_dir, key, functools.partial(_cached_count, ms, q, p))
+        query = {"moves": str(ms), "q": q, "p": p}
+        hit = cache_load(cache_dir, cache_key("prime-count", query),
+                         functools.partial(_cached_count, q, p))
         if hit is not None:
             counts[p] = hit
         else:
-            missing[p] = key
+            missing[p] = query
     workers = min(len(missing), _usable_cpus()) if q >= POOL_MIN_Q else 1
     if workers > 1:
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -173,9 +166,8 @@ def _torus_counts(ms: MoveSet, q: int, primes: list[int],
     else:
         for p in missing:
             counts[p] = torus_count(ms, q, p)
-    for p, key in missing.items():
-        cache_store(cache_dir, key, {"moves": str(ms), "q": q, "p": p,
-                                     "count": counts[p]})
+    for p, query in missing.items():
+        cache_store(cache_dir, "prime-count", query, counts[p])
     return counts
 
 
@@ -207,7 +199,7 @@ def cmd_types(args) -> int:
     if args.engine == "ff":
         report = run_ff(ms, args.q, args.prime_floor, cache_dir=cache_dir)
     else:
-        # each engine's census, and the options it reads: its cache key
+        # each engine's census, and the options it reads: its cache query
         if args.engine == "geometric":
             read = {"refinement": args.refinement}
             run = lambda: geometric_census(ms, args.q, args.refinement)
@@ -222,15 +214,14 @@ def cmd_types(args) -> int:
                     "n_max": args.n_max, "window": args.window}
             run = lambda: stabilized_census(ms, board, args.q, args.n_start,
                                             args.n_max, args.window)[0]
-        key = cache_key("census", {"moves": str(ms), "q": args.q,
-                                   "engine": args.engine, **read})
-        cached = cache_load(cache_dir, key, functools.partial(
-            _cached_census, ms, args.q, args.engine, read))
+        query = {"moves": str(ms), "q": args.q, "engine": args.engine, **read}
+        cached = cache_load(cache_dir, cache_key("census", query),
+                            functools.partial(_cached_census, query))
         if cached is not None:
             _log(f"cache hit for {args.engine} census")
         report = census_to_dict(run() if cached is None else cached)
         if cached is None:
-            cache_store(cache_dir, key, report)
+            cache_store(cache_dir, "census", query, report)
 
     golden = golden_types(ms, args.q)
     report["golden"] = None if golden is None else {
@@ -395,7 +386,7 @@ def cmd_fit(args) -> int:
     except GeometryError as exc:
         if args.kind == "labelled":
             raise
-        _log(str(exc))  # unlabelled counts off the integers are a mismatch
+        _log(str(exc))  # unlabelled counts below 1 or off the integers are a mismatch
         return EXIT_MISMATCH
     report["labelled"] = labelled
     report["unlabelled"] = unlabelled

@@ -161,8 +161,8 @@ def find_period(data: list[tuple[int, int]], degree: int,
 def types_at_minus_one(value: Fraction, q: int, kind: str) -> tuple[int, int]:
     """(labelled, unlabelled) types from the value at n = -1 of a q-piece
     counting quasipolynomial of `kind` "labelled" or "unlabelled" placements."""
-    if value.denominator != 1:
-        raise GeometryError(f"{kind} count at n = -1 is {value}, not an integer")
+    if value.denominator != 1 or value < 1:  # every rider has a type
+        raise GeometryError(f"{kind} count at n = -1 is {value}, not an integer >= 1")
     value, orbit = int(value), math.factorial(q)
     if kind == "unlabelled":
         return value * orbit, value

@@ -271,23 +271,38 @@ def test_census_serialization_round_trip():
 
 def test_census_cache(tmp_path):
     c = geometric_census(ROOK, 2)
-    key = cache_key("census", {"moves": str(ROOK), "q": 2, "engine": "geometric"})
+    query = {"moves": str(ROOK), "q": 2, "engine": "geometric"}
+    key = cache_key("census", query)
     assert cache_load(tmp_path, key, census_from_dict) is None
-    cache_store(tmp_path, key, census_to_dict(c))
+    cache_store(tmp_path, "census", query, census_to_dict(c))
     hit = cache_load(tmp_path, key, census_from_dict)
     assert hit is not None
     assert hit.types == c.types
 
 
+def test_cache_entry_of_another_query_is_a_miss(tmp_path, capsys):
+    # an entry hits only the key that its own kind and query hash to
+    query = {"moves": str(ROOK), "q": 2, "engine": "geometric"}
+    cache_store(tmp_path, "census", query, census_to_dict(geometric_census(ROOK, 2)))
+    (entry,) = tmp_path.iterdir()
+    for kind, other in (("census", dict(query, q=3)), ("prime-count", query)):
+        key = cache_key(kind, other)
+        entry.rename(tmp_path / f"{key}.json")
+        assert cache_load(tmp_path, key, census_from_dict) is None
+        assert capsys.readouterr().err.count("does not parse") == 1
+        (entry,) = tmp_path.iterdir()
+
+
 def test_cache_entry_from_another_schema_is_a_miss(tmp_path, monkeypatch):
-    payload = {"moves": str(ROOK), "q": 2, "engine": "geometric"}
-    key = cache_key("census", payload)
+    query = {"moves": str(ROOK), "q": 2, "engine": "geometric"}
+    key = cache_key("census", query)
     monkeypatch.setattr("ridertypes.census.CACHE_SCHEMA", CACHE_SCHEMA + 1)
-    old_key = cache_key("census", payload)
+    old_key = cache_key("census", query)
     assert old_key != key
-    cache_store(tmp_path, old_key, census_to_dict(geometric_census(ROOK, 2)))
+    cache_store(tmp_path, "census", query, census_to_dict(geometric_census(ROOK, 2)))
+    assert (tmp_path / f"{old_key}.json").is_file()
     monkeypatch.undo()
-    assert cache_load(tmp_path, cache_key("census", payload), census_from_dict) is None
+    assert cache_load(tmp_path, cache_key("census", query), census_from_dict) is None
 
 
 def test_projective_transport_preserves_census():

@@ -93,18 +93,22 @@ def test_corrupt_cache_entries_are_recomputed(tmp_path, capsys):
     code_g, out_g, _ = run_cli(capsys, *geometric)
     assert code_g == 0
     (census_entry,) = set(tmp_path.iterdir()) - set(entries)
+    with_value = lambda good, value: json.dumps(dict(good, value=value)).encode()
     spoilers = [
-        lambda good: b'{"count": 12',  # cut short
+        lambda good: b'{"value": 12',  # cut short
         lambda good: b"\xff\xfe",  # not UTF-8
         lambda good: b"[1, 2]",  # not an object
-        lambda good: b"{}",  # parses, but has no count
-        lambda good: b'{"count": "x"}',  # count not an integer
-        lambda good: b'{"count": null}',
-        lambda good: b'{"count": 12.5}',  # int() would truncate it
+        lambda good: b"[" * 100_000,  # nested past the recursion limit
+        lambda good: b"{}",  # parses, but is no entry
+        lambda good: json.dumps({k: good[k] for k in ("kind", "query")}).encode(),  # no count
+        lambda good: with_value(good, "x"),  # count not an integer
+        lambda good: with_value(good, None),
+        lambda good: with_value(good, 12.5),  # int() would truncate it
         # well formed, but off by one: breaks the torus invariant
-        lambda good: json.dumps(dict(good, count=good["count"] - 1)).encode(),
+        lambda good: with_value(good, good["value"] - 1),
     ]
-    census_entry.write_text("{}")  # parses, but has no types
+    good_census = json.loads(census_entry.read_text())
+    census_entry.write_text(json.dumps(dict(good_census, value={})))  # no types
     code3, out3, err3 = run_cli(capsys, *geometric)
     assert (code3, out3) == (0, out_g)
     assert err3.count("does not parse") == 1
@@ -126,9 +130,9 @@ def test_corrupt_cache_entries_are_recomputed(tmp_path, capsys):
 
 
 def test_cache_entry_answers_only_its_own_query(tmp_path, capsys):
-    # entries filed under another query's key (other moves, or other options
-    # that the engine keeps in metadata), or with a q or exact of the wrong
-    # type, are misses: recomputed, noted once and replaced
+    # entries filed under another query's key (other moves or options), an
+    # entry whose value is another query's census, and values with a q or
+    # exact of the wrong type are misses: recomputed, noted once and replaced
     def run(cache, *argv):
         return run_cli(capsys, "--cache-dir", str(cache), "types", *argv)
 
@@ -141,12 +145,15 @@ def test_cache_entry_answers_only_its_own_query(tmp_path, capsys):
     (other,) = (tmp_path / "semiqueen").iterdir()
     run(tmp_path / "refined", "--moves", "queen", *census, "--refinement", "2")
     (refined,) = (tmp_path / "refined").iterdir()
-    assert json.loads(refined.read_text())["metadata"]["refinement"] == 2
+    assert json.loads(refined.read_text())["query"]["refinement"] == 2
+    value = lambda **kw: dict(good, value=dict(good["value"], **kw))
+    other_value = json.loads(other.read_text())["value"]
     for bad in (json.loads(other.read_text()), json.loads(refined.read_text()),
-                dict(good, exact="false"), dict(good, q="3"), dict(good, q=3.0)):
+                dict(good, value=other_value), value(exact="false"), value(q="3"),
+                value(q=3.0)):
         entry.write_text(json.dumps(bad))
         code, out, err = run(tmp_path / "queen", "--moves", "queen", *census)
-        assert (code, out) == (0, fresh), bad["moves"]
+        assert (code, out) == (0, fresh), bad
         assert err.count("does not parse") == 1 and "cache hit" not in err
         assert json.loads(entry.read_text()) == good
 
@@ -154,7 +161,7 @@ def test_cache_entry_answers_only_its_own_query(tmp_path, capsys):
     code, fresh, _ = run(tmp_path / "ff-semiqueen", "--moves", "semiqueen", *ff)
     assert code == 0
     run(tmp_path / "ff-queen", "--moves", "queen", *ff)
-    by_prime = lambda d: {json.loads(e.read_text())["p"]: e for e in d.iterdir()}
+    by_prime = lambda d: {json.loads(e.read_text())["query"]["p"]: e for e in d.iterdir()}
     semiqueen, queen = by_prime(tmp_path / "ff-semiqueen"), by_prime(tmp_path / "ff-queen")
     p = min(set(semiqueen) & set(queen))
     good = semiqueen[p].read_text()
@@ -165,6 +172,47 @@ def test_cache_entry_answers_only_its_own_query(tmp_path, capsys):
     assert semiqueen[p].read_text() == good
 
 
+def assert_other_entry_is_a_miss(tmp_path, capsys, argv, other):
+    """Files the census entry of `argv + other` under the key of `argv`: a
+    miss, recomputed, noted once and replaced."""
+    def run(cache, *extra):
+        return run_cli(capsys, "--cache-dir", str(cache), "types", *argv, *extra)
+
+    code, fresh, _ = run(tmp_path / "request")
+    assert code == 0
+    (entry,) = (tmp_path / "request").iterdir()
+    good = entry.read_text()
+    code, out_other, _ = run(tmp_path / "other", *other)
+    assert code == 0 and out_other != fresh
+    (filed,) = (tmp_path / "other").iterdir()
+    entry.write_text(filed.read_text())
+    code, out, err = run(tmp_path / "request")
+    assert (code, out) == (0, fresh)
+    assert err.count("does not parse") == 1 and "cache hit" not in err
+    assert entry.read_text() == good
+
+
+def test_census_entry_of_another_board_is_a_miss(tmp_path, capsys):
+    # 17 types on the square, 2 on the triangle at this order
+    assert_other_entry_is_a_miss(
+        tmp_path, capsys, ("--moves", "semiqueen", "--q", "3", "--engine", "grid",
+                           "--n", "5"), ("--board", "triangle"))
+
+
+def test_census_entry_of_another_n_start_is_a_miss(tmp_path, capsys):
+    # stabilizes at n = 3 from n = 1, at n = 4 from n = 4
+    assert_other_entry_is_a_miss(
+        tmp_path, capsys, ("--moves", "queen", "--q", "2", "--engine", "grid"),
+        ("--n-start", "4"))
+
+
+def test_census_entry_of_another_n_max_is_a_miss(tmp_path, capsys):
+    # stops unstabilized at n = 3
+    assert_other_entry_is_a_miss(
+        tmp_path, capsys, ("--moves", "queen", "--q", "2", "--engine", "grid"),
+        ("--n-max", "3"))
+
+
 def test_census_entry_with_a_broken_type_is_a_miss(tmp_path, capsys):
     argv = ("--cache-dir", str(tmp_path), "types", "--moves", "trident",
             "--q", "3", "--engine", "geometric")
@@ -172,15 +220,16 @@ def test_census_entry_with_a_broken_type_is_a_miss(tmp_path, capsys):
     assert code == 0
     (entry,) = tmp_path.iterdir()
     good = json.loads(entry.read_text())
-    pairs = good["types"][0]["entries"]
-    period = 2 * good["r"]
+    census = good["value"]
+    pairs = census["types"][0]["entries"]
+    period = 2 * census["r"]
     for broken in (pairs[1:],                           # a pair missing
                    pairs + [[1, 4, 1]],                 # a pair of no piece
                    pairs + [pairs[0]],                  # a pair repeated
                    [[1, 2, 0]] + pairs[1:],             # region 0
                    [[1, 2, period + 1]] + pairs[1:]):   # region 2r + 1
-        types = [dict(good["types"][0], entries=broken)] + good["types"][1:]
-        entry.write_text(json.dumps(dict(good, types=types)))
+        types = [dict(census["types"][0], entries=broken)] + census["types"][1:]
+        entry.write_text(json.dumps(dict(good, value=dict(census, types=types))))
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (0, fresh), broken
         assert "does not parse" in err and "cache hit" not in err
@@ -323,7 +372,7 @@ def test_ff_retry_primes_go_through_the_cache(tmp_path, monkeypatch):
     assert report["unlabelled"] == 3
     for p in asked[0] + asked[1]:
         key = cli.cache_key("prime-count", {"moves": str(ms), "q": 2, "p": p})
-        assert cli.cache_load(str(tmp_path), key, lambda entry: entry["count"]) == \
+        assert cli.cache_load(str(tmp_path), key, lambda count: count) == \
             finitefield.torus_count(ms, 2, p)
 
 
@@ -344,7 +393,7 @@ def test_every_attempt_exceptional_exits_3(tmp_path, capsys, monkeypatch):
         windows.append(valid_primes_from(ms, floor, finitefield.window_size(2)))
         floor = windows[-1][-1] + 1
     assert len(windows) == 3
-    cached = sorted(json.loads(e.read_text())["p"] for e in tmp_path.iterdir())
+    cached = sorted(json.loads(e.read_text())["query"]["p"] for e in tmp_path.iterdir())
     assert cached == [p for window in windows for p in window]
 
 
@@ -455,6 +504,18 @@ def test_fit_off_integer_value_exit_codes(tmp_path, capsys):
                                  "--period", "1", "--kind", kind)
         assert (code, out) == (expected, ""), kind
         assert "1/2, not an integer" in err and "Traceback" not in err
+
+
+def test_fit_type_count_below_one_exit_codes(tmp_path, capsys):
+    # n, -n^2 fits -n^2, which is -1 at n = -1; every rider has a type, so
+    # that is a mismatch for unlabelled counts, a parse error for labelled ones
+    data = tmp_path / "rows.txt"
+    data.write_text("".join(f"{n} {-n * n}\n" for n in range(1, 6)))
+    for kind, expected in (("unlabelled", 1), ("labelled", 2)):
+        code, out, err = run_cli(capsys, "fit", "--data", str(data), "--q", "1",
+                                 "--period", "1", "--kind", kind)
+        assert (code, out) == (expected, ""), kind
+        assert "-1, not an integer >= 1" in err and "Traceback" not in err
 
 
 def test_fit_malformed_file(tmp_path, capsys):

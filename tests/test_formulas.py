@@ -96,8 +96,11 @@ def test_queen_only_entries_follow_the_queen_class():
 def test_types_at_minus_one():
     assert types_at_minus_one(Fraction(12), 3, "labelled") == (12, 2)
     assert types_at_minus_one(Fraction(2), 3, "unlabelled") == (12, 2)
+    # off the integers, not divisible by 3!, or below 1: every rider has a type
     for value, kind in ((Fraction(13, 2), "labelled"), (Fraction(13, 2), "unlabelled"),
-                        (Fraction(13), "labelled")):
+                        (Fraction(13), "labelled"), (Fraction(0), "unlabelled"),
+                        (Fraction(-1), "unlabelled"), (Fraction(0), "labelled"),
+                        (Fraction(-6), "labelled")):
         with pytest.raises(GeometryError):
             types_at_minus_one(value, 3, kind)
 
