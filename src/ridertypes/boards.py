@@ -12,6 +12,13 @@ from dataclasses import dataclass
 
 from .geometry import GeometryError, Point, parse_rational, point
 
+# Most lattice points a board's scaled bounding box may hold.  N cells cost
+# N^2 bits of star masks (`placement.line_masks`) and r*N*(N - 1) bits of
+# cone masks (`census.grid_census`): at N = 2^13, 8 MiB and, for r <= 6, under
+# 48 MiB.  `lattice_points` refuses a larger box before it enumerates any
+# point; the square board fits up to n = 88.
+MAX_CELLS = 1 << 13
+
 
 @dataclass(frozen=True)
 class Board:
@@ -62,7 +69,8 @@ def lattice_points(board: Board, n: int) -> tuple[tuple[int, int], ...]:
     the common denominator den of the vertex coordinates, the vertices are
     integer points A, B, ...; for edge A -> B with (ex, ey) = B - A, den**2
     times the cross product at (x, y) is
-    den*(ex*y - ey*x) + scale*(ey*Ax - ex*Ay).
+    den*(ex*y - ey*x) + scale*(ey*Ax - ex*Ay).  A board whose scaled
+    bounding box holds more than MAX_CELLS lattice points is refused.
     """
     if n < 1:
         raise GeometryError("board order n must be >= 1")
@@ -75,10 +83,16 @@ def lattice_points(board: Board, n: int) -> tuple[tuple[int, int], ...]:
         edges.append((ex * den, ey * den, scale * (ey * ax - ex * ay)))
     xs = [x for x, _ in verts]
     ys = [y for _, y in verts]
+    x_lo, x_hi = scale * min(xs) // den, -(-scale * max(xs) // den)
+    y_lo, y_hi = scale * min(ys) // den, -(-scale * max(ys) // den)
+    box = (x_hi - x_lo + 1) * (y_hi - y_lo + 1)
+    if box > MAX_CELLS:
+        raise GeometryError(f"the order-{n} board's bounding box holds {box} lattice "
+                            f"points, above MAX_CELLS = {MAX_CELLS}")
     return tuple(
         (x, y)
-        for x in range(scale * min(xs) // den, -(-scale * max(xs) // den) + 1)
-        for y in range(scale * min(ys) // den, -(-scale * max(ys) // den) + 1)
+        for x in range(x_lo, x_hi + 1)
+        for y in range(y_lo, y_hi + 1)
         if all(e * y - f * x + g > 0 for e, f, g in edges)
     )
 

@@ -9,7 +9,6 @@ of reachable types with four pieces.
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import itertools
 import json
@@ -19,7 +18,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .boards import Board, lattice_points
 from .geometry import (
@@ -46,12 +45,11 @@ from .signature import (
     LabelledType,
     antipode,
     canonical_unlabelled,
-    cone_of,
+    _cone_side_patterns,
     cone_of_pattern,
     key_pairs,
     labelled_type,
     orbit_size,
-    region_numbering,
     type_from_dict,
     type_to_dict,
 )
@@ -110,31 +108,87 @@ def _keys_to_types(keys: Iterable[tuple[int, ...]], q: int, r: int) -> frozenset
     return frozenset(canonical_unlabelled(LabelledType(q, r, key)) for key in keys)
 
 
+def _cone_masks(ms: MoveSet, cells: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """`cones[v][g - 1]`: the cells below cell v strictly inside the open
+    cone g around v.
+
+    Each move keys the cells by the keys of `line_masks`, d*x - c*y for the
+    move (c, d).  A cell w has key(w) = key(v) - cross(move, w - v), so the
+    cells of smaller key than v lie strictly left of v's line of that move
+    and those of larger key strictly right of it.  Cone g is the AND of the
+    half-planes its `_cone_side_patterns` pattern names.
+    """
+    everything = (1 << len(cells)) - 1
+    halves = []  # per move, per cell: (smaller-key cells, larger-key cells)
+    for m in ms.moves:
+        keys = [m.d * x - m.c * y for x, y in cells]
+        groups: dict[int, int] = {}
+        for i, k in enumerate(keys):
+            groups[k] = groups.get(k, 0) | (1 << i)
+        # one pair per line, shared by its cells: a pair per cell would be N^2 bits
+        split, seen = {}, 0
+        for k in sorted(groups):
+            split[k] = (seen, everything ^ seen ^ groups[k])
+            seen |= groups[k]
+        halves.append([split[k] for k in keys])
+    patterns = [[side is Side.RIGHT for side in pattern]
+                for pattern in _cone_side_patterns(ms.moves)]
+    cones = []
+    for v in range(len(cells)):
+        below = (1 << v) - 1
+        sides = [(left & below, right & below) for left, right in (h[v] for h in halves)]
+        own = []
+        for pattern in patterns:
+            mask = below
+            for side, right in zip(sides, pattern):
+                mask &= side[right]
+            own.append(mask)
+        cones.append(own)
+    return cones
+
+
 def grid_census(ms: MoveSet, board: Board, n: int, q: int) -> Census:
     """Types realized on the order-n lattice board (a lower bound for fixed n).
 
-    Pieces 1..q-1 run over the nonattacking sets of `placement` and the last
-    piece over each set's `rest`.
+    Pieces 1..q-1 run over the nonattacking sets of `placement`, highest
+    cell first, and the last piece over each set's `rest`, read off cone
+    bitmasks instead of cell by cell.  The last piece lies in cone g_i
+    around chosen piece i exactly when it is in `cones[chosen[i]][g_i - 1]`,
+    so the keys one chosen set yields are exactly the cone tuples
+    (g_1, ..., g_{q-1}) whose cones meet `rest` in a common cell.  The walk
+    ANDs `rest` with one cone per chosen piece in turn and drops every empty
+    AND; each survivor is one key, with g_i at pair (i, q) and
+    `antipode(g_i, r)` at (q, i).  (The AND of the cones alone lies inside
+    `rest`, since each mask holds only lower cells off its piece's lines;
+    `rest` serves to skip a set that no last piece extends.)  The cones
+    between chosen pieces are read off the same masks.  `_cone_masks`
+    holds 2r masks per cell, each over the cells below it: r*N*(N - 1) bits
+    for N cells, which `boards.MAX_CELLS` bounds.  q = 1 builds no masks.
     """
     if q < 1 or n < 1:
         raise GeometryError("need q >= 1 and n >= 1")
     cells = lattice_points(board, n)
-    rays = [(m.c, m.d) for m in region_numbering(ms)]
-    pairs = [(i - 1, k - 1) for i, k in key_pairs(q)]  # indices into pts
-    _lines, masks = line_masks(ms, cells)
-    # memoized cone per relative displacement: board deltas repeat a lot
-    cone = functools.lru_cache(maxsize=None)(lambda dx, dy: cone_of(rays, dx, dy))
-    keys: set[tuple[int, ...]] = set()
+    _lines, stars = line_masks(ms, cells)
+    cones = _cone_masks(ms, cells) if q > 1 else []
+    # the cone of each pair (i, k) with i < k: first the pairs of chosen
+    # pieces in `combinations` order, then (1, q), ..., (q - 1, q)
+    order = {pair: pos for pos, pair in enumerate(
+        (*itertools.combinations(range(1, q), 2), *((i, q) for i in range(1, q))))}
+    found: set[tuple[int, ...]] = set()
     for chosen, rest in nonattacking_sets((1 << len(cells)) - 1, q - 1,
-                                          masks.__getitem__):
-        while rest:
-            last = rest.bit_length() - 1
-            rest ^= 1 << last
-            pts = [cells[c] for c in (*chosen, last)]
-            keys.add(tuple(
-                cone(pts[k][0] - pts[i][0], pts[k][1] - pts[i][1])
-                for i, k in pairs
-            ))
+                                          stars.__getitem__):
+        if not rest:
+            continue
+        frontier = [(rest, tuple(
+            next(g for g, mask in enumerate(cones[hi], 1) if mask >> lo & 1)
+            for hi, lo in itertools.combinations(chosen, 2)
+        ))]
+        for v in chosen:
+            frontier = [(meet, gs + (g,)) for avail, gs in frontier
+                        for g, mask in enumerate(cones[v], 1) if (meet := avail & mask)]
+        found.update(gs for _avail, gs in frontier)
+    keys = (tuple(gs[order[i, k]] if i < k else antipode(gs[order[k, i]], ms.r)
+                  for i, k in key_pairs(q)) for gs in found)
     return Census(ms, q, "grid", _keys_to_types(keys, q, ms.r), False,
                   {"n": n, "cells": len(cells)})
 

@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .boards import parse_board
+from .boards import lattice_points, parse_board
 from .census import (
     Census,
     cache_key,
@@ -244,7 +244,8 @@ def cmd_count(args) -> int:
         orders = [args.n]
     else:
         lo, hi = args.n_range
-        orders = list(range(lo, hi + 1))
+        orders = range(lo, hi + 1)
+    lattice_points(board, orders[-1])  # a board past MAX_CELLS exits 2 before any count
     bfile_text = _read_text(args.bfile) if args.bfile else None
     if args.bfile and bfile_text is None:
         return EXIT_USAGE

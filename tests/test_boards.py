@@ -34,6 +34,15 @@ def test_square_counts_match_n_squared():
         assert len(lattice_points(SQUARE, n)) == n * n
 
 
+def test_boxes_above_max_cells_are_refused():
+    assert len(lattice_points(SQUARE, 88)) == 88 * 88  # a box of 90^2 <= MAX_CELLS points
+    with pytest.raises(GeometryError, match="MAX_CELLS"):
+        lattice_points(SQUARE, 89)
+    # the box, not the board, is what counts: this one is large at n = 1
+    with pytest.raises(GeometryError, match="MAX_CELLS"):
+        lattice_points(parse_board("poly:0,0;100,0;0,100"), 1)
+
+
 def test_contains_open_square():
     assert contains_open(SQUARE, 4, point(2, 2))
     assert not contains_open(SQUARE, 4, point(0, 2))

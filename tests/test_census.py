@@ -26,7 +26,7 @@ from ridertypes.census import (
     witness_checks,
     _reachable_keys,
 )
-from ridertypes.cli import family_movesets
+from ridertypes.cli import PIECES, family_movesets
 from ridertypes.formulas import t3_closed_form
 from ridertypes.geometry import (
     configuration_arrangement,
@@ -101,16 +101,45 @@ def test_grid_census_monotone_in_n():
 
 def test_grid_census_matches_brute_force_typing():
     # every nonattacking placement typed with `labelled_type`, against the
-    # grid engine's set enumeration with memoized cones
+    # grid engine's walk over cone masks; q = 4 is the first input whose
+    # walk has a middle level
     boards = (SQUARE, TRIANGLE, parse_board("poly:0,0;1,1/2;1/2,1"))
-    for ms in (ROOK, TRIDENT, QUEEN, NIGHTRIDER):
-        for board in boards:
-            for n in range(1, 7):
-                for q in (1, 2, 3):
-                    c = grid_census(ms, board, n, q)
-                    types, cells = brute_force_grid_types(ms, board, n, q)
-                    assert c.types == types, (ms, board, n, q)
-                    assert c.metadata == {"n": n, "cells": cells}
+    cases = [(ms, board, n, q) for ms in (ROOK, TRIDENT, QUEEN, NIGHTRIDER)
+             for board in boards for n in range(1, 7) for q in (1, 2, 3)]
+    cases += [(ms, board, n, 4) for ms in (TRIDENT, QUEEN, NIGHTRIDER)
+              for board, top in ((SQUARE, 5), (TRIANGLE, 7)) for n in range(1, top + 1)]
+    for ms, board, n, q in cases:
+        c = grid_census(ms, board, n, q)
+        types, cells = brute_force_grid_types(ms, board, n, q)
+        assert c.types == types, (ms, board, n, q)
+        assert c.metadata == {"n": n, "cells": cells}
+
+
+# (n, census size) per order and stabilized_at of the stabilized q = 3 grid
+# census at the CLI defaults (n from 1 to 16, window 2)
+STABILIZATION_HISTORIES = {
+    ("rook", "square"): ((0, 0, 6, 6, 6), 3),
+    ("rook", "triangle"): ((0, 0, 0, 1, 4, 6, 6, 6), 6),
+    ("bishop", "square"): ((0, 0, 6, 6, 6), 3),
+    ("bishop", "triangle"): ((0, 0, 0, 4, 6, 6, 6), 5),
+    ("queen", "square"): ((0, 0, 0, 8, 20, 36, 36, 36), 6),
+    ("queen", "triangle"): ((0, 0, 0, 0, 0, 10, 18, 24, 34, 36, 36, 36), 10),
+    ("semiqueen", "square"): ((0, 0, 3, 7, 17, 17, 17), 5),
+    ("semiqueen", "triangle"): ((0, 0, 0, 1, 2, 7, 9, 13, 17, 17, 17), 9),
+    ("trident", "square"): ((0, 0, 3, 11, 13, 17, 17, 17), 6),
+    ("trident", "triangle"): ((0, 0, 0, 1, 4, 9, 13, 16, 17, 17, 17), 9),
+    ("nightrider", "square"): ((0, 4, 12, 36, 36, 36), 4),
+    ("nightrider", "triangle"): ((0, 0, 1, 9, 21, 30, 35, 36, 36, 36), 8),
+}
+
+
+def test_stabilization_histories_of_the_named_pieces():
+    boards = {"square": SQUARE, "triangle": TRIANGLE}
+    for (name, board), (sizes, stabilized_at) in STABILIZATION_HISTORIES.items():
+        _census, report = stabilized_census(parse_moves(PIECES[name]), boards[board], 3,
+                                            n_start=1, n_max=16, window=2)
+        assert report.sizes == tuple(enumerate(sizes, start=1)), (name, board)
+        assert report.stabilized_at == stabilized_at, (name, board)
 
 
 def test_stabilized_census_queens_q2():

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -408,6 +409,21 @@ def test_prime_floor_above_ceiling(capsys, monkeypatch):
     assert out == ""
     assert "MAX_PRIME" in err
     assert "Traceback" not in err
+
+
+def test_board_above_max_cells_exits_2_at_once(capsys):
+    # the grid census of a huge board, and a count sweep whose top order is
+    # past the cap (refused before it counts the orders below, even where
+    # the range is too long to list)
+    for argv in (("types", "--engine", "grid", "--moves", "queen", "--q", "2", "--n", "3000"),
+                 ("count", "--moves", "queen", "--q", "2", "--n-range", f"1:{10**20}")):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 2
+        assert out == ""
+        assert "MAX_CELLS" in err
+        assert "Traceback" not in err
 
 
 def test_count_single_queen(capsys):
