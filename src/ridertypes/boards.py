@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from .geometry import GeometryError, Point, parse_rational, point
 
 # Most lattice points a board's scaled bounding box may hold.  N cells cost
-# N^2 bits of star masks (`placement.line_masks`) and r*N*(N - 1) bits of
-# cone masks (`census.grid_census`): at N = 2^13, 8 MiB and, for r <= 6, under
-# 48 MiB.  `lattice_points` refuses a larger box before it enumerates any
-# point; the square board fits up to n = 88.
+# N^2 bits of star masks in `census.count_nonattacking`, the `count` command,
+# and r*N*(N - 1) bits of cone masks in the grid census: at N = 2^13, 8 MiB
+# and, for r <= 6, under 48 MiB.  `lattice_points` refuses a larger box before
+# it enumerates any point; the square board fits up to n = 88.
 MAX_CELLS = 1 << 13
 
 

@@ -43,11 +43,10 @@ from .signature import (
     AttackError,
     Config,
     LabelledType,
-    antipode,
     canonical_unlabelled,
-    _cone_side_patterns,
     cone_of_pattern,
-    key_pairs,
+    cone_patterns,
+    key_from_cones,
     labelled_type,
     orbit_size,
     type_from_dict,
@@ -116,7 +115,7 @@ def _cone_masks(ms: MoveSet, cells: Sequence[tuple[int, int]]) -> list[list[int]
     move (c, d).  A cell w has key(w) = key(v) - cross(move, w - v), so the
     cells of smaller key than v lie strictly left of v's line of that move
     and those of larger key strictly right of it.  Cone g is the AND of the
-    half-planes its `_cone_side_patterns` pattern names.
+    half-planes its `cone_patterns` pattern names.
     """
     everything = (1 << len(cells)) - 1
     halves = []  # per move, per cell: (smaller-key cells, larger-key cells)
@@ -132,7 +131,7 @@ def _cone_masks(ms: MoveSet, cells: Sequence[tuple[int, int]]) -> list[list[int]
             seen |= groups[k]
         halves.append([split[k] for k in keys])
     patterns = [[side is Side.RIGHT for side in pattern]
-                for pattern in _cone_side_patterns(ms.moves)]
+                for pattern in cone_patterns(ms)]
     cones = []
     for v in range(len(cells)):
         below = (1 << v) - 1
@@ -150,45 +149,43 @@ def _cone_masks(ms: MoveSet, cells: Sequence[tuple[int, int]]) -> list[list[int]
 def grid_census(ms: MoveSet, board: Board, n: int, q: int) -> Census:
     """Types realized on the order-n lattice board (a lower bound for fixed n).
 
-    Pieces 1..q-1 run over the nonattacking sets of `placement`, highest
-    cell first, and the last piece over each set's `rest`, read off cone
-    bitmasks instead of cell by cell.  The last piece lies in cone g_i
-    around chosen piece i exactly when it is in `cones[chosen[i]][g_i - 1]`,
-    so the keys one chosen set yields are exactly the cone tuples
-    (g_1, ..., g_{q-1}) whose cones meet `rest` in a common cell.  The walk
-    ANDs `rest` with one cone per chosen piece in turn and drops every empty
-    AND; each survivor is one key, with g_i at pair (i, q) and
-    `antipode(g_i, r)` at (q, i).  (The AND of the cones alone lies inside
-    `rest`, since each mask holds only lower cells off its piece's lines;
-    `rest` serves to skip a set that no last piece extends.)  The cones
-    between chosen pieces are read off the same masks.  `_cone_masks`
-    holds 2r masks per cell, each over the cells below it: r*N*(N - 1) bits
-    for N cells, which `boards.MAX_CELLS` bounds.  q = 1 builds no masks.
+    Runs on the cone bitmasks of `_cone_masks` alone.  Below cell v, the
+    cells v does not attack are exactly the union of its 2r cones, so the
+    star that `placement.nonattacking_sets` needs is read off them: pieces
+    1..q-1 run over its nonattacking sets, highest cell first, and the last
+    piece over each set's `rest`.  The last piece lies in cone g_i around
+    chosen piece i exactly when it is in `cones[chosen[i]][g_i - 1]`, so the
+    keys one chosen set yields are exactly the cone tuples (g_1, ..., g_{q-1})
+    whose cones meet `rest` in a common cell.  The walk ANDs `rest` with one
+    cone per chosen piece in turn and drops every empty AND.  Each survivor,
+    after the cones between chosen pieces (read off the same masks), lists
+    the cones of one key in placement order, which `key_from_cones` turns
+    into the key.  (The AND of the cones alone lies inside `rest`, since each
+    mask holds only lower cells off its piece's lines; `rest` serves to skip
+    a set that no last piece extends.)  The masks hold r*N*(N - 1) bits for
+    N cells and their unions N*(N - 1)/2 more, which `boards.MAX_CELLS`
+    bounds.  q = 1 builds no masks.
     """
     if q < 1 or n < 1:
         raise GeometryError("need q >= 1 and n >= 1")
     cells = lattice_points(board, n)
-    _lines, stars = line_masks(ms, cells)
+    everything = (1 << len(cells)) - 1
     cones = _cone_masks(ms, cells) if q > 1 else []
-    # the cone of each pair (i, k) with i < k: first the pairs of chosen
-    # pieces in `combinations` order, then (1, q), ..., (q - 1, q)
-    order = {pair: pos for pos, pair in enumerate(
-        (*itertools.combinations(range(1, q), 2), *((i, q) for i in range(1, q))))}
+    free = [sum(own) for own in cones]  # the open cones are disjoint
     found: set[tuple[int, ...]] = set()
-    for chosen, rest in nonattacking_sets((1 << len(cells)) - 1, q - 1,
-                                          stars.__getitem__):
+    # the star of v is every cell outside its cones: below v, those it attacks
+    for chosen, rest in nonattacking_sets(everything, q - 1, lambda v: everything ^ free[v]):
         if not rest:
             continue
         frontier = [(rest, tuple(
-            next(g for g, mask in enumerate(cones[hi], 1) if mask >> lo & 1)
-            for hi, lo in itertools.combinations(chosen, 2)
+            next(g for g, mask in enumerate(cones[chosen[i]], 1) if mask >> chosen[k] & 1)
+            for k in range(len(chosen)) for i in range(k)
         ))]
         for v in chosen:
             frontier = [(meet, gs + (g,)) for avail, gs in frontier
                         for g, mask in enumerate(cones[v], 1) if (meet := avail & mask)]
         found.update(gs for _avail, gs in frontier)
-    keys = (tuple(gs[order[i, k]] if i < k else antipode(gs[order[k, i]], ms.r)
-                  for i, k in key_pairs(q)) for gs in found)
+    keys = (key_from_cones(q, ms.r, gs) for gs in found)
     return Census(ms, q, "grid", _keys_to_types(keys, q, ms.r), False,
                   {"n": n, "cells": len(cells)})
 
@@ -257,8 +254,10 @@ def geometric_census(ms: MoveSet, q: int, refinement: int = 1) -> Census:
     arrangement of pieces 1..k holds the r move lines of piece i at positions
     (i-1)*r .. i*r - 1, so that slice of a region's sign vector is the side
     of the new piece on each move line of piece i: its T2 pattern, which
-    `cone_of_pattern` turns into the cone index g of the pair (i, new); the
-    pair (new, i) gets the antipodal cone `antipode(g, r)`.
+    `cone_of_pattern` turns into the cone of the pair (i, new).  Each new
+    piece appends its cones to a tuple, so a complete placement holds the
+    cones of the pairs i < k in placement order, which `key_from_cones` turns
+    into the key.
     No attack check is needed: `region_sample_points` drops every point that
     lies on a line of the arrangement, so the new piece is on no move line of
     an earlier piece, hence attacks none of them (attacking is symmetric) and
@@ -268,34 +267,28 @@ def geometric_census(ms: MoveSet, q: int, refinement: int = 1) -> Census:
     if q < 1 or refinement < 1:
         raise GeometryError("need q >= 1 and refinement >= 1")
     r = ms.r
-    index_of = cone_of_pattern(ms.moves)
-    pairs = key_pairs(q)
+    index_of = cone_of_pattern(ms)
     types: set[LabelledType] = set()
     keys = {()} if q == 1 else set()  # labelled, not yet in `types`
 
-    def place(cfg: tuple[Point, ...], cones: dict) -> int:
+    def place(cfg: tuple[Point, ...], cones: tuple[int, ...]) -> int:
         # the placements completed from `cfg`, depth first; keys go to `types`
         # in batches of 2^12, so memory does not grow with the placements
-        new = len(cfg) + 1  # pieces labelled 1, 2, ...; cones {(i, k): g}
         placed = 0
         arr = configuration_arrangement(ms, cfg)
         for sv, pts in region_sample_points(arr, refinement).items():
-            grown = dict(cones)
-            for i in range(1, new):
-                g = index_of[sv[(i - 1) * r:i * r]]
-                grown[(i, new)] = g
-                grown[(new, i)] = antipode(g, r)
-            if new < q:
+            grown = cones + tuple(index_of[sv[j:j + r]] for j in range(0, len(sv), r))
+            if len(cfg) + 1 < q:
                 placed += sum(place(cfg + (p,), grown) for p in pts)
             else:
-                keys.add(tuple(grown[pair] for pair in pairs))
+                keys.add(key_from_cones(q, r, grown))
                 placed += len(pts)
         if len(keys) >= 1 << 12:
             types.update(_keys_to_types(keys, q, r))
             keys.clear()
         return placed
 
-    placements = place((ORIGIN,), {}) if q > 1 else 1
+    placements = place((ORIGIN,), ()) if q > 1 else 1
     return Census(
         ms, q, "geometric", _keys_to_types(keys, q, r) | types, q <= 3,
         {"refinement": refinement, "placements": placements},

@@ -489,8 +489,8 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if args.cache_dir is None:  # read per call: the environment may change
-        args.cache_dir = os.environ.get("RIDERTYPES_CACHE")
+    # the environment is read per call, as it may change; an empty value is unset
+    args.cache_dir = args.cache_dir or os.environ.get("RIDERTYPES_CACHE") or None
     if args.command == "count" and args.n is None and args.n_range is None:
         _log("count needs --n or --n-range")
         return EXIT_USAGE

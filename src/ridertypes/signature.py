@@ -41,47 +41,19 @@ class Config:
         return len(self.pieces)
 
 
-def cone_of(rays: Sequence[tuple[int, int]], dx: int, dy: int) -> int:
-    """Index 1..len(rays) of the open cone holding integer direction (dx, dy):
-    the number of `rays` (sorted as in `region_numbering`) at a smaller angle
-    in [0, 2*pi), with 0 read as the last cone.  (dx, dy) must be parallel to
-    no ray, except that a ray itself reads its rank, which `_ray_order` uses.
-    """
-    half = 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-    count = 0
-    for rx, ry in rays:
-        ray_half = 0 if (ry > 0 or (ry == 0 and rx > 0)) else 1
-        if ray_half < half or (ray_half == half and rx * dy - ry * dx > 0):
-            count += 1
-    return count or len(rays)
+def _angle_key(m: BasicMove) -> tuple:
+    # the half-plane [0, pi) before [pi, 2*pi); within one the ray on the
+    # x-axis comes first, then the cotangent c/d falls as the angle grows
+    upper = m.d > 0 or (m.d == 0 and m.c > 0)
+    return (not upper, m.d != 0, Fraction(-m.c, m.d) if m.d else 0)
 
 
 @lru_cache(maxsize=None)
-def _ray_order(moves: tuple[BasicMove, ...]) -> tuple[BasicMove, ...]:
-    rays = [m for m in moves] + [m.negated() for m in moves]
-    pairs = [(m.c, m.d) for m in rays]
-    # a ray's count of rays below it is its rank; the first ray reads len(rays)
-    return tuple(sorted(rays, key=lambda m: cone_of(pairs, m.c, m.d) % len(rays)))
-
-
 def region_numbering(ms: MoveSet) -> tuple[BasicMove, ...]:
     """The 2r rays +-m_j sorted counterclockwise from the smallest nonnegative
     angle; region k is the open cone strictly between rays k and k+1 (cyclic),
     and regions k and k+r are antipodal."""
-    return _ray_order(ms.moves)
-
-
-def cone_index(ms: MoveSet, v: tuple[Fraction, Fraction]) -> int:
-    """Index 1..2r of the open cone containing direction v.
-
-    Exact: v must not be parallel to any move (raises AttackError otherwise).
-    """
-    dx = v[0].numerator * v[1].denominator
-    dy = v[1].numerator * v[0].denominator
-    for j, m in enumerate(ms.moves, start=1):
-        if m.c * dy - m.d * dx == 0:
-            raise AttackError(f"direction {v} lies on move line {j} (slope of {m})")
-    return cone_of([(ray.c, ray.d) for ray in _ray_order(ms.moves)], dx, dy)
+    return tuple(sorted((*ms.moves, *(m.negated() for m in ms.moves)), key=_angle_key))
 
 
 def _cone_interior(rays: Sequence[BasicMove], k: int) -> tuple[int, int]:
@@ -95,25 +67,38 @@ def _cone_interior(rays: Sequence[BasicMove], k: int) -> tuple[int, int]:
     return (-a.d, a.c)
 
 
+def _sides(ms: MoveSet, dx: Fraction | int, dy: Fraction | int) -> tuple[Side, ...]:
+    # the side of direction (dx, dy) against each move line
+    return tuple(Side.LEFT if cross > 0 else Side.RIGHT if cross else Side.ON
+                 for cross in (m.c * dy - m.d * dx for m in ms.moves))
+
+
 @lru_cache(maxsize=None)
-def _cone_side_patterns(moves: tuple[BasicMove, ...]) -> tuple[tuple[Side, ...], ...]:
+def cone_patterns(ms: MoveSet) -> tuple[tuple[Side, ...], ...]:
     """For each region index, the Left/Right pattern against every move line."""
-    rays = _ray_order(moves)
-    patterns = []
-    for k in range(1, len(rays) + 1):
-        wx, wy = _cone_interior(rays, k)
-        pattern = []
-        for m in moves:
-            cross = m.c * wy - m.d * wx
-            assert cross != 0, "cone interior cannot lie on a move line"
-            pattern.append(Side.LEFT if cross > 0 else Side.RIGHT)
-        patterns.append(tuple(pattern))
-    return tuple(patterns)
+    rays = region_numbering(ms)
+    patterns = tuple(_sides(ms, *_cone_interior(rays, k)) for k in range(1, len(rays) + 1))
+    assert not any(Side.ON in p for p in patterns), "a cone interior lies on a move line"
+    return patterns
 
 
-def cone_of_pattern(moves: tuple[BasicMove, ...]) -> dict[tuple[Side, ...], int]:
-    """Inverse of `_cone_side_patterns`: region index of each side pattern."""
-    return {pattern: idx + 1 for idx, pattern in enumerate(_cone_side_patterns(moves))}
+@lru_cache(maxsize=None)
+def cone_of_pattern(ms: MoveSet) -> dict[tuple[Side, ...], int]:
+    """Inverse of `cone_patterns`: region index of each side pattern."""
+    return {pattern: idx + 1 for idx, pattern in enumerate(cone_patterns(ms))}
+
+
+def cone_index(ms: MoveSet, v: tuple[Fraction, Fraction]) -> int:
+    """Index 1..2r of the open cone containing direction v: the region whose
+    side pattern v has against the move lines.
+
+    Exact: v must not be parallel to any move (raises AttackError otherwise).
+    """
+    pattern = _sides(ms, v[0].numerator * v[1].denominator, v[1].numerator * v[0].denominator)
+    if Side.ON in pattern:
+        j = pattern.index(Side.ON) + 1
+        raise AttackError(f"direction {v} lies on move line {j} (slope of {ms.moves[j - 1]})")
+    return cone_of_pattern(ms)[pattern]
 
 
 def antipode(g: int, r: int) -> int:
@@ -128,12 +113,10 @@ def is_nonattacking(ms: MoveSet, cfg: Config) -> bool:
 
 def attack_witness(ms: MoveSet, cfg: Config):
     """First (i, k, j) with piece k on move line j of piece i, or None."""
-    for i in range(cfg.q):
-        for k in range(i + 1, cfg.q):
-            dx, dy = cfg.pieces[k] - cfg.pieces[i]
-            for j, m in enumerate(ms.moves, start=1):
-                if m.c * dy - m.d * dx == 0:
-                    return (i + 1, k + 1, j)
+    for i, k in itertools.combinations(range(cfg.q), 2):
+        sides = _sides(ms, *(cfg.pieces[k] - cfg.pieces[i]))
+        if Side.ON in sides:
+            return (i + 1, k + 1, sides.index(Side.ON) + 1)
     return None
 
 
@@ -183,6 +166,26 @@ def _position(q: int) -> dict[tuple[int, int], int]:
 def _swapped(q: int) -> tuple[int, ...]:
     # per pair (i, k) in key order, the position of (k, i)
     return tuple(_position(q)[(k, i)] for i, k in key_pairs(q))
+
+
+@lru_cache(maxsize=None)
+def _from_cones(q: int) -> itemgetter:
+    # reads a key off the placement-order cones followed by their antipodes:
+    # pair (i, k) with i < k is slot (k-1)(k-2)/2 + i-1, and (k, i) that slot
+    # plus q(q-1)/2
+    if q == 1:
+        return tuple  # one piece: no cones, the empty key
+    slot = {(i, k): (k - 1) * (k - 2) // 2 + i - 1
+            for i, k in key_pairs(q) if i < k}
+    return itemgetter(*(slot[i, k] if i < k else slot[k, i] + len(slot)
+                        for i, k in key_pairs(q)))
+
+
+def key_from_cones(q: int, r: int, cones: Sequence[int]) -> tuple[int, ...]:
+    """The T1 key of q pieces given the cone of piece k around piece i for
+    each pair i < k in placement order (1, 2), (1, 3), (2, 3), (1, 4), ...;
+    each pair (k, i) gets the antipode."""
+    return _from_cones(q)((*cones, *(antipode(g, r) for g in cones)))
 
 
 def labelled_type(ms: MoveSet, cfg: Config) -> LabelledType:
@@ -246,7 +249,7 @@ def t1_to_t2(t: LabelledType, ms: MoveSet) -> T2Type:
     """Convert region indices into per-line side data."""
     if ms.r != t.r:
         raise GeometryError("move set size does not match the type")
-    patterns = _cone_side_patterns(ms.moves)
+    patterns = cone_patterns(ms)
     triples = []
     for i, k, region in t.entries:
         for j, side in enumerate(patterns[region - 1], start=1):
@@ -259,7 +262,7 @@ def t2_to_t1(t2: T2Type, ms: MoveSet) -> LabelledType:
     matching a region, and nothing else is given."""
     if ms.r != t2.r:
         raise GeometryError("move set size does not match the type")
-    index_of = cone_of_pattern(ms.moves)
+    index_of = cone_of_pattern(ms)
     key = []
     for i, k in key_pairs(t2.q):
         pattern = tuple(t2._sides.get((i, j, k)) for j in range(1, t2.r + 1))

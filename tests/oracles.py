@@ -29,6 +29,20 @@ from ridertypes.geometry import (
 from ridertypes.signature import Config, canonical_unlabelled, labelled_type
 
 
+def cone_of(rays, dx: int, dy: int) -> int:
+    """Index 1..len(rays) of the open cone holding integer direction (dx, dy),
+    by angular rank: the number of `rays` (sorted as in `region_numbering`)
+    at a smaller angle in [0, 2*pi), with 0 read as the last cone.  (dx, dy)
+    must be parallel to no ray, except that a ray itself reads its rank."""
+    half = 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+    count = 0
+    for rx, ry in rays:
+        ray_half = 0 if (ry > 0 or (ry == 0 and rx > 0)) else 1
+        if ray_half < half or (ray_half == half and rx * dy - ry * dx > 0):
+            count += 1
+    return count or len(rays)
+
+
 def nonattacking_cell_sets(ms, cells, q: int):
     """Every nonattacking q-subset of the cells, by direct enumeration."""
     def attacks(a, b):

@@ -692,6 +692,23 @@ def test_parser_is_built_once_and_reads_the_cache_env_per_call(tmp_path, capsys,
     assert builds == [1]
 
 
+def test_empty_cache_dir_is_unset(tmp_path, capsys, monkeypatch):
+    # an empty value is unset: as a cache path, os.makedirs('') would fail
+    # after the census and exit 2 with no report
+    monkeypatch.chdir(tmp_path)
+    argv = ("types", "--moves", "queen", "--q", "2", "--engine", "geometric")
+    monkeypatch.setenv("RIDERTYPES_CACHE", "")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, json.loads(out)["unlabelled"], err.count("error")) == (0, 4, 0)
+    code, out, err = run_cli(capsys, "--cache-dir", "", *argv)
+    assert (code, json.loads(out)["unlabelled"], err.count("error")) == (0, 4, 0)
+    # an empty --cache-dir leaves the environment's cache in charge
+    monkeypatch.setenv("RIDERTYPES_CACHE", str(tmp_path / "env"))
+    assert run_cli(capsys, "--cache-dir", "", *argv)[0] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["env"]
+    assert len(list((tmp_path / "env").iterdir())) == 1
+
+
 def test_verify_thm_3move_checks_are_defined():
     # the full q=4 run lives in the acceptance suite; here only the wiring
     from ridertypes.cli import build_parser

@@ -12,6 +12,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import cone_of
+
+from ridertypes.cli import PIECES
 from ridertypes.geometry import GeometryError, MoveSet, Point, Side, parse_moves, point
 from ridertypes.signature import (
     AttackError,
@@ -20,8 +23,8 @@ from ridertypes.signature import (
     T2Type,
     canonical_unlabelled,
     cone_index,
-    cone_of,
     is_nonattacking,
+    key_from_cones,
     labelled_type,
     orbit_size,
     region_numbering,
@@ -118,6 +121,25 @@ def test_labelled_type_queen_example():
 def test_labelled_type_pair_antipodal():
     t = labelled_type(QUEEN, Config((point(0, 0), point(5, 2))))
     assert t.region(2, 1) == (t.region(1, 2) + QUEEN.r - 1) % (2 * QUEEN.r) + 1
+
+
+def test_key_from_cones_matches_labelled_type():
+    # placement order: (1, 2), (1, 3), (2, 3), (1, 4), ..., one cone per pair i < k
+    rng = random.Random(23)
+    for moves in PIECES.values():
+        ms = parse_moves(moves)
+        for q in (1, 2, 3, 4):
+            checked = 0
+            while checked < 30:
+                pieces = tuple({point(rng.randint(-30, 30), rng.randint(-30, 30))
+                                for _ in range(q)})
+                if len(pieces) < q or not is_nonattacking(ms, Config(pieces)):
+                    continue
+                cones = [cone_index(ms, pieces[k] - pieces[i])
+                         for k in range(q) for i in range(k)]
+                assert key_from_cones(q, ms.r, cones) == \
+                    labelled_type(ms, Config(pieces)).key, (moves, pieces)
+                checked += 1
 
 
 def test_labelled_type_attacking_raises_with_details():
