@@ -33,8 +33,9 @@ from .geometry import (
     intersect,
     move_lines,
     parse_moves,
+    region_masks,
     region_representatives,
-    region_sample_points,
+    region_sample_points,  # not called here; bench/run.py traces it in this module
     sign_vector,
     steiner_count,
 )
@@ -44,10 +45,11 @@ from .signature import (
     Config,
     LabelledType,
     canonical_unlabelled,
-    cone_of_pattern,
+    cone_of_mask,
     cone_patterns,
     key_from_cones,
     labelled_type,
+    least_relabelling,
     orbit_size,
     type_from_dict,
     type_to_dict,
@@ -104,7 +106,10 @@ def count_nonattacking(ms: MoveSet, board: Board, n: int, q: int) -> int:
 
 
 def _keys_to_types(keys: Iterable[tuple[int, ...]], q: int, r: int) -> frozenset[LabelledType]:
-    return frozenset(canonical_unlabelled(LabelledType(q, r, key)) for key in keys)
+    # one LabelledType per least key: relabelling keeps a key's coverage,
+    # range and antipodal pairs, so its checks on the least keys cover all
+    return frozenset(LabelledType(q, r, least)
+                     for least in {least_relabelling(q, key) for key in keys})
 
 
 def _cone_masks(ms: MoveSet, cells: Sequence[tuple[int, int]]) -> list[list[int]]:
@@ -250,24 +255,28 @@ def geometric_census(ms: MoveSet, q: int, refinement: int = 1) -> Census:
     q >= 4 the census is a lower bound that grows monotonically with
     `refinement` (extra sample points per region).
 
-    Types are read off the sign vectors, with no cone computation.  The
-    arrangement of pieces 1..k holds the r move lines of piece i at positions
-    (i-1)*r .. i*r - 1, so that slice of a region's sign vector is the side
-    of the new piece on each move line of piece i: its T2 pattern, which
-    `cone_of_pattern` turns into the cone of the pair (i, new).  Each new
-    piece appends its cones to a tuple, so a complete placement holds the
-    cones of the pairs i < k in placement order, which `key_from_cones` turns
-    into the key.
-    No attack check is needed: `region_sample_points` drops every point that
-    lies on a line of the arrangement, so the new piece is on no move line of
-    an earlier piece, hence attacks none of them (attacking is symmetric) and
-    sits on none of them.  Every type is still built through `LabelledType`,
-    whose coverage and antipodal checks run on it.
+    Types are read off the region masks of `region_masks`, with no cone
+    computation.  The arrangement of pieces 1..k holds the r move lines of
+    piece i at positions (i-1)*r .. i*r - 1, so bits (i-1)*r .. i*r - 1 of a
+    region's mask are the sides of the new piece on piece i's move lines:
+    its T2 pattern, which `cone_of_mask` turns into the cone of the pair
+    (i, new).  Each new piece appends its cones to a tuple, so a complete
+    placement holds the cones of the pairs i < k in placement order, which
+    `key_from_cones` turns into the key.  A `Point` is built only for a
+    sample that places a further piece.
+    No attack check is needed: the slab sweep of `region_masks` puts every
+    sample strictly between two consecutive lines at an abscissa where no
+    lines cross and no vertical line runs, so the new piece is on no move
+    line of an earlier piece, hence attacks none of them (attacking is
+    symmetric) and sits on none of them.  Every type is still built through
+    `LabelledType`, whose coverage and antipodal checks run on its least
+    relabelling (see `_keys_to_types`).
     """
     if q < 1 or refinement < 1:
         raise GeometryError("need q >= 1 and refinement >= 1")
     r = ms.r
-    index_of = cone_of_pattern(ms)
+    cone_of = cone_of_mask(ms)
+    low = (1 << r) - 1
     types: set[LabelledType] = set()
     keys = {()} if q == 1 else set()  # labelled, not yet in `types`
 
@@ -276,10 +285,11 @@ def geometric_census(ms: MoveSet, q: int, refinement: int = 1) -> Census:
         # in batches of 2^12, so memory does not grow with the placements
         placed = 0
         arr = configuration_arrangement(ms, cfg)
-        for sv, pts in region_sample_points(arr, refinement).items():
-            grown = cones + tuple(index_of[sv[j:j + r]] for j in range(0, len(sv), r))
+        for mask, pts in region_masks(arr, refinement).items():
+            grown = cones + tuple(cone_of[mask >> j & low] for j in range(0, arr.k, r))
             if len(cfg) + 1 < q:
-                placed += sum(place(cfg + (p,), grown) for p in pts)
+                placed += sum(place(cfg + (Point(Fraction(xa, xb), Fraction(y, den)),), grown)
+                              for xa, xb, y, den in pts)
             else:
                 keys.add(key_from_cones(q, r, grown))
                 placed += len(pts)

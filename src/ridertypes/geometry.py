@@ -1,11 +1,12 @@
 """Exact rational planar geometry for rider move-line arrangements.
 
 Everything here is computed over Q with `fractions.Fraction`, or in
-integers: the slab sampler puts the ordinates at each sample abscissa over
-one common denominator and sorts and side-tests their numerators.  There is
-no floating point anywhere in this module.  The orientation convention is
-fixed once and for all: walking along a line's direction vector, Left is the
-counterclockwise (positive cross product) side.
+integers: the slab sampler puts the x-breakpoints over one common
+denominator, and the ordinates at each sample abscissa over another, and
+sorts and side-tests their numerators.  There is no floating point anywhere
+in this module.  The orientation convention is fixed once and for all:
+walking along a line's direction vector, Left is the counterclockwise
+(positive cross product) side.
 """
 
 from __future__ import annotations
@@ -251,59 +252,33 @@ def sign_vector(arr: LineArrangement, p: Point) -> tuple[Side, ...]:
     return tuple(side_of(ln, p) for ln in arr.lines)
 
 
-def _x_breakpoints(coeffs: Sequence[tuple[int, int, int]]) -> list[Fraction]:
-    # abscissas of the vertical lines and of every crossing (Cramer's rule)
+def _x_breakpoints(coeffs: Sequence[tuple[int, int, int]]) -> tuple[int, list[int]]:
+    """(L, numerators): the abscissas of the vertical lines and of every
+    crossing (Cramer's rule) are X / L for the sorted distinct integers X,
+    with L the lcm of their reduced denominators."""
     xs = set()
     for i, (a1, b1, c1) in enumerate(coeffs):
         if b1 == 0:
-            xs.add(Fraction(c1, a1))
+            xs.add((c1, a1))
         for a2, b2, c2 in coeffs[i + 1:]:
             det = a1 * b2 - a2 * b1
             if det:
-                xs.add(Fraction(c1 * b2 - c2 * b1, det))
-    return sorted(xs)
+                xs.add((c1 * b2 - c2 * b1, det))
+    reduced = set()
+    for num, den in xs:
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        reduced.add((num // g, den // g))
+    common = lcm(*(den for _, den in reduced))
+    return common, sorted({num * (common // den) for num, den in reduced})
 
 
-def _gaps(values: Sequence, u: int, v: int, reach) -> list:
+def _gaps(values: Sequence[int], u: int, v: int, reach: int) -> list[int]:
     # v times: the point at fraction u/v of each gap between the sorted
-    # values, and reach/v beyond both ends
+    # values, and reach/v beyond both ends; [0] when there are no values
+    if not values:
+        return [0]
     inner = [lo * v + (hi - lo) * u for lo, hi in zip(values, values[1:])]
     return [values[0] * v - reach, *inner, values[-1] * v + reach]
-
-
-def _slab_candidates(
-    coeffs: Sequence[tuple[int, int, int]],
-    breaks: Sequence[Fraction],
-    split: Fraction,
-    margin: int,
-) -> list[tuple[Fraction, int, list[int]]]:
-    """Candidate interior points, at least one per region (slab method).
-
-    Sample abscissas are taken strictly between consecutive x-breakpoints
-    (pairwise intersection points and vertical lines) and strictly beyond both
-    extremes; on each sample vertical line, ordinates sit strictly between
-    consecutive crossings with the non-vertical lines and beyond both ends.
-    `split` picks where inside each gap, `margin` how far past the extremes.
-
-    Returns (abscissa, den, numerators): the candidates at that abscissa are
-    (abscissa, Y / den) for Y in numerators.  At x = a/b a non-vertical line
-    A*x + B*y = C has ordinate (C*b - A*a) / (b*B), so over the common
-    denominator E = b * lcm|B| every ordinate, and with split = u/v every
-    gap point lo*v + (hi - lo)*u over E*v, is an integer.
-    """
-    others = [(a, b, c) for a, b, c in coeffs if b != 0]
-    lcm_b = lcm(*(abs(b) for _, b, _ in others))
-    u, v = split.numerator, split.denominator
-    abscissas = [x / v for x in _gaps(breaks, u, v, margin * v)] if breaks else [Fraction(0)]
-    out = []
-    for ax in abscissas:
-        xa, xb = ax.numerator, ax.denominator
-        ys = sorted({(c * xb - a * xa) * (lcm_b // b) for a, b, c in others})
-        if ys:
-            out.append((ax, xb * lcm_b * v, _gaps(ys, u, v, margin * xb * lcm_b * v)))
-        else:
-            out.append((ax, 1, [0]))
-    return out
 
 
 _SPLITS = [
@@ -312,49 +287,81 @@ _SPLITS = [
 ]
 
 
-def region_sample_points(arr: LineArrangement, samples: int = 1) -> dict[tuple, list[Point]]:
-    """Interior sample points grouped by region (keyed by sign vector).
+def region_masks(arr: LineArrangement, samples: int = 1) -> dict[int, list[tuple[int, ...]]]:
+    """Interior sample points grouped by region, in integers: the core of
+    `region_sample_points`.  A region is keyed by the mask of the lines its
+    points are Right of (bit n for line n), and a point (X, x_den, Y, y_den)
+    is (X / x_den, Y / y_den).
 
-    One slab pass guarantees at least one point in every region; further
-    passes with different split fractions and margins enlarge each region's
-    sample list (duplicates removed, capped at `samples` per region).
+    Slab sweep: sample abscissas lie strictly between consecutive
+    x-breakpoints (crossings and vertical lines, `_x_breakpoints`) and
+    beyond both extremes.  On each, the ordinates of the non-vertical lines
+    go over one common denominator, and the candidates sit strictly between
+    consecutive ordinates and beyond both ends.  Pass p takes split
+    `_SPLITS[p % 8]` inside each gap and margin p + 1 past the ends, and
+    each region keeps its first `samples` distinct candidates.
 
-    A candidate on any line is dropped, so every returned point lies on none
-    of the arrangement's lines and its sign vector holds no `Side.ON`.
+    One side test per abscissa: no crossing and no vertical line lies at a
+    sample abscissa, so no two lines share an ordinate there and the lowest
+    candidate, below every ordinate, lies on no line.  Its mask is tested
+    against every line; going up from gap i - 1 to gap i crosses exactly the
+    line of the i-th lowest ordinate, whose side alone flips.  So every
+    candidate is off every line, and one pass meets every region.  Both
+    facts are checked: a shared ordinate, or a lowest candidate on a line,
+    raises GeometryError.
     """
     if samples < 1:
         raise GeometryError("samples must be >= 1")
     coeffs = [ln.int_coefficients() for ln in arr.lines]
-    breaks = _x_breakpoints(coeffs)
-    # regions keyed by a bitmask of the lines the point is Right of; a kept
-    # candidate is (abscissa, Y, den) until the end
-    found: dict[int, list[tuple[Fraction, int, int]]] = {}
+    common, breaks = _x_breakpoints(coeffs)
+    # at x = a/b the line A*x + B*y = C has ordinate (C*b - A*a) / (b*B),
+    # an integer over b * lcm|B|
+    lcm_b = lcm(*(abs(b) for _, b, _ in coeffs if b))
+    sloped = [(a, c, lcm_b // b, 1 << n) for n, (a, b, c) in enumerate(coeffs) if b]
+    found: dict[int, list[tuple[int, ...]]] = {}
     for pass_no in range(samples):
         split = _SPLITS[pass_no % len(_SPLITS)]
-        for ax, den, ords in _slab_candidates(coeffs, breaks, split, 1 + pass_no):
-            xa, xb = ax.numerator, ax.denominator
-            # sign of A*x + B*y - C at (xa/xb, Y/den), scaled by xb*den > 0
-            rows = [(1 << n, (a * xa - c * xb) * den, b * xb)
-                    for n, (a, b, c) in enumerate(coeffs)]
-            for y in ords:
-                key = 0
-                for bit, base, slope in rows:
-                    val = base + slope * y
-                    if val == 0:
-                        break
-                    if val > 0:
-                        key |= bit
-                else:
-                    bucket = found.setdefault(key, [])
-                    if len(bucket) < samples and all(
-                        ax != bx or y * bden != by * den for bx, by, bden in bucket
-                    ):
-                        bucket.append((ax, y, den))
+        u, v, margin = split.numerator, split.denominator, 1 + pass_no
+        for x in _gaps(breaks, u, v, margin * common * v):
+            g = gcd(x, common * v)
+            xa, xb = x // g, common * v // g
+            bit_at = {(c * xb - a * xa) * scale: bit for a, c, scale, bit in sloped}
+            if len(bit_at) < len(sloped):
+                raise GeometryError(f"two lines share an ordinate at x = {xa}/{xb}")
+            ys = sorted(bit_at)
+            den = xb * lcm_b * v
+            ords = _gaps(ys, u, v, margin * den)
+            mask = 0
+            for n, (a, b, c) in enumerate(coeffs):
+                # sign of A*x + B*y - C at the lowest candidate, times xb*den > 0
+                val = (a * xa - c * xb) * den + b * xb * ords[0]
+                if val == 0:
+                    raise GeometryError(f"the lowest candidate at x = {xa}/{xb} is on line {n}")
+                mask |= (val > 0) << n
+            # candidate i sits above the lines of ys[0], ..., ys[i - 1]
+            for y, flip in zip(ords, (0, *map(bit_at.__getitem__, ys))):
+                mask ^= flip
+                bucket = found.get(mask)
+                if bucket is None:
+                    found[mask] = [(xa, xb, y, den)]
+                elif len(bucket) < samples and all(
+                    (xa, xb) != (bx, bxb) or y * bden != by * den for bx, bxb, by, bden in bucket
+                ):
+                    bucket.append((xa, xb, y, den))
+    return found
+
+
+def region_sample_points(arr: LineArrangement, samples: int = 1) -> dict[tuple, list[Point]]:
+    """Interior sample points grouped by region, keyed by sign vector:
+    `region_masks` with each mask read as Left/Right per line and each point
+    as a `Point`, in the same order.  Every region gets at least one point
+    and at most `samples`, and no point lies on a line, so no sign vector
+    holds `Side.ON`."""
     sides = (Side.LEFT, Side.RIGHT)
     return {
-        tuple(sides[key >> n & 1] for n in range(len(coeffs))):
-            [Point(ax, Fraction(y, den)) for ax, y, den in kept]
-        for key, kept in found.items()
+        tuple(sides[mask >> n & 1] for n in range(arr.k)):
+            [Point(Fraction(xa, xb), Fraction(y, den)) for xa, xb, y, den in pts]
+        for mask, pts in region_masks(arr, samples).items()
     }
 
 

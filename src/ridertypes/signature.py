@@ -88,6 +88,14 @@ def cone_of_pattern(ms: MoveSet) -> dict[tuple[Side, ...], int]:
     return {pattern: idx + 1 for idx, pattern in enumerate(cone_patterns(ms))}
 
 
+@lru_cache(maxsize=None)
+def cone_of_mask(ms: MoveSet) -> dict[int, int]:
+    """`cone_of_pattern` keyed by r-bit masks: bit j - 1 is set when the
+    pattern is Right of move line j."""
+    return {sum(1 << j for j, side in enumerate(pattern) if side is Side.RIGHT): g
+            for pattern, g in cone_of_pattern(ms).items()}
+
+
 def cone_index(ms: MoveSet, v: tuple[Fraction, Fraction]) -> int:
     """Index 1..2r of the open cone containing direction v: the region whose
     side pattern v has against the move lines.
@@ -216,10 +224,15 @@ def _relabellings(q: int) -> tuple[itemgetter, ...]:
     )
 
 
+def least_relabelling(q: int, key: tuple[int, ...]) -> tuple[int, ...]:
+    """The least of the q! relabellings of the key of q pieces."""
+    return min(g(key) for g in _relabellings(q))
+
+
 def canonical_unlabelled(t: LabelledType) -> LabelledType:
     """The unlabelled type of `t`, held as its relabelling with the least key
     over all q! permutations: `t` itself when its key is already the least."""
-    least = min(g(t.key) for g in _relabellings(t.q))
+    least = least_relabelling(t.q, t.key)
     return t if least == t.key else LabelledType(t.q, t.r, least)
 
 

@@ -185,6 +185,24 @@ def random_arrangement(rng: random.Random):
     return arrangement(lines)
 
 
+def random_rational_arrangement(rng: random.Random, max_lines: int = 12, max_den: int = 50):
+    """Random arrangement of up to `max_lines` lines whose anchors have
+    denominators up to `max_den`.  Directions and anchors come from small
+    pools, so parallel lines and crossings of three or more lines turn up."""
+    directions = [BasicMove(rng.choice([c for c in range(-5, 6) if c or d]), d)
+                  for d in rng.choices(range(-5, 6), k=rng.randint(1, 6))]
+    anchors = [point(Fraction(rng.randint(-60, 60), rng.randint(1, max_den)),
+                     Fraction(rng.randint(-60, 60), rng.randint(1, max_den)))
+               for _ in range(rng.randint(1, max_lines))]
+    lines, seen = [], set()
+    for _ in range(rng.randint(1, 2 * max_lines)):
+        ln = OrientedLine(rng.choice(anchors), rng.choice(directions))
+        if ln.unoriented_key() not in seen and len(lines) < max_lines:
+            seen.add(ln.unoriented_key())
+            lines.append(ln)
+    return arrangement(lines)
+
+
 _SPLITS = [
     Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 5),
     Fraction(4, 5), Fraction(2, 7), Fraction(5, 7), Fraction(3, 11),

@@ -5,7 +5,10 @@ which stays independent of the bitmask backtracker."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
+
+import pytest
 
 from oracles import brute_force_grid_types, brute_force_labelled, labelled_geometric_types
 
@@ -198,6 +201,39 @@ def test_geometric_census_matches_labelled_type_oracle():
         types, placements = labelled_geometric_types(ms, q)
         assert census.types == types, (str(ms), q)
         assert census.metadata["placements"] == placements
+
+
+# (moves, refinement, size, placements, SHA-256 of repr(sorted keys)) of q = 4
+# geometric censuses, recorded from the per-candidate sampler that tested
+# every candidate against every line.  The q = 4 census is a lower bound that
+# depends on where the samples sit, so equal keys and placements show that
+# no sample point moved.
+GEOMETRIC_Q4 = [
+    ("1,0;0,1", 1, 24, 576, "597223b1cdf25185970301b65869f1172b09b76ba2158ea57ed9b8671dcd3953"),
+    ("1,1;1,-1", 1, 24, 576, "597223b1cdf25185970301b65869f1172b09b76ba2158ea57ed9b8671dcd3953"),
+    ("1,0;0,1;1,1;1,-1", 1, 574, 12412,
+     "a534ebcaf6828481d466a8d605046f64097cb0cb957f01b265f293626a12ee01"),
+    ("1,0;0,1;1,1", 1, 151, 3436,
+     "7a6432b72ce9709e6dd5ae061e89d86a1e15ffa5585f58de59f0174f79f12c9e"),
+    ("0,1;1,1;1,-1", 1, 151, 3440,
+     "7a6432b72ce9709e6dd5ae061e89d86a1e15ffa5585f58de59f0174f79f12c9e"),
+    ("1,2;2,1;1,-2;2,-1", 1, 576, 12520,
+     "4e0b110803cbbdb26785fe6d1a59141949ef223301c5a01fd70507559cf86c3f"),
+    ("1,0;0,1;1,1;1,3", 1, 574, 12462,
+     "a534ebcaf6828481d466a8d605046f64097cb0cb957f01b265f293626a12ee01"),
+    ("0,1;1,1;1,-1", 2, 151, 27664,
+     "7a6432b72ce9709e6dd5ae061e89d86a1e15ffa5585f58de59f0174f79f12c9e"),
+    ("1,0;0,1;1,1;1,-1", 2, 574, 99636,
+     "a534ebcaf6828481d466a8d605046f64097cb0cb957f01b265f293626a12ee01"),
+]
+
+
+@pytest.mark.parametrize("moves, refinement, size, placements, digest", GEOMETRIC_Q4)
+def test_geometric_census_q4_pinned(moves, refinement, size, placements, digest):
+    census = geometric_census(parse_moves(moves), 4, refinement)
+    keys = repr(sorted(t.key for t in census.types))
+    assert (census.size, census.metadata["placements"]) == (size, placements)
+    assert hashlib.sha256(keys.encode()).hexdigest() == digest
 
 
 def test_labelled_equals_factorial_times_unlabelled():

@@ -9,7 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fraction_region_sample_points, random_arrangement
+from oracles import (
+    fraction_region_sample_points,
+    random_arrangement,
+    random_rational_arrangement,
+)
 
 from ridertypes.geometry import (
     BasicMove,
@@ -201,16 +205,46 @@ def test_generic_lines_formula():
         assert steiner_count(arrangement(lines)) == 1 + k + k * (k - 1) // 2
 
 
-def test_integer_slab_matches_fraction_reference():
+def _same_samples(arr, samples):
     # same regions in the same order, each with the same points in order
+    got = region_sample_points(arr, samples)
+    want = fraction_region_sample_points(arr, samples)
+    assert got == want
+    assert list(got) == list(want)
+    return got
+
+
+def test_integer_slab_matches_fraction_reference():
     rng = random.Random(2024)
     for n in range(330):
-        arr = random_arrangement(rng)
-        samples = 1 + n % 3
-        got = region_sample_points(arr, samples)
-        want = fraction_region_sample_points(arr, samples)
-        assert got == want
-        assert list(got) == list(want)
+        _same_samples(random_arrangement(rng), 1 + n % 3)
+
+
+def test_integer_slab_matches_fraction_reference_on_rational_anchors():
+    # up to 12 lines, anchors with denominators up to 50: the breakpoints'
+    # reduced denominators differ, so their common denominator L is needed
+    rng = random.Random(4096)
+    for n in range(45):
+        _same_samples(random_rational_arrangement(rng), 1 + n % 3)
+
+
+def test_integer_slab_matches_fraction_reference_on_edge_cases():
+    third = Fraction(1, 3)
+    hub = point(Fraction(1, 7), Fraction(-2, 3))
+    cases = {
+        "no lines": [],
+        "all vertical": [OrientedLine(point(x, 0), BasicMove(0, s))
+                         for x, s in ((0, 1), (third, -1), (Fraction(-5, 7), 1))],
+        "all parallel": [OrientedLine(point(Fraction(n, 11), third * n), BasicMove(-3, -2))
+                         for n in (-4, 1, 3, 9)],
+        "one pencil": [OrientedLine(hub, BasicMove(c, d))
+                       for c, d in ((1, 0), (0, 1), (2, -3), (-1, 4), (5, 2))],
+    }
+    for name, lines in cases.items():
+        arr = arrangement(lines)
+        for samples in (1, 2, 3):
+            got = _same_samples(arr, samples)
+            assert len(got) == steiner_count(arr), name
 
 
 def test_identity_map_fixes_everything():

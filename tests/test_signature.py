@@ -14,7 +14,7 @@ import pytest
 
 from oracles import cone_of
 
-from ridertypes.cli import PIECES
+from ridertypes.cli import PIECES, family_movesets
 from ridertypes.geometry import GeometryError, MoveSet, Point, Side, parse_moves, point
 from ridertypes.signature import (
     AttackError,
@@ -23,6 +23,8 @@ from ridertypes.signature import (
     T2Type,
     canonical_unlabelled,
     cone_index,
+    cone_of_mask,
+    cone_of_pattern,
     is_nonattacking,
     key_from_cones,
     labelled_type,
@@ -121,6 +123,17 @@ def test_labelled_type_queen_example():
 def test_labelled_type_pair_antipodal():
     t = labelled_type(QUEEN, Config((point(0, 0), point(5, 2))))
     assert t.region(2, 1) == (t.region(1, 2) + QUEEN.r - 1) % (2 * QUEEN.r) + 1
+
+
+def test_cone_of_mask_matches_cone_of_pattern():
+    movesets = [ms for r in range(1, 7) for ms in family_movesets(r)]
+    movesets += [parse_moves(moves) for moves in PIECES.values()]
+    for ms in movesets:
+        table = cone_of_mask(ms)
+        assert len(table) == 2 * ms.r, str(ms)
+        for pattern, g in cone_of_pattern(ms).items():
+            mask = sum(1 << j for j, side in enumerate(pattern) if side is Side.RIGHT)
+            assert table[mask] == g, (str(ms), pattern)
 
 
 def test_key_from_cones_matches_labelled_type():
