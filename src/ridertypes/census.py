@@ -120,7 +120,7 @@ def _cone_masks(ms: MoveSet, cells: Sequence[tuple[int, int]]) -> list[list[int]
     move (c, d).  A cell w has key(w) = key(v) - cross(move, w - v), so the
     cells of smaller key than v lie strictly left of v's line of that move
     and those of larger key strictly right of it.  Cone g is the AND of the
-    half-planes its `cone_patterns` pattern names.
+    half-planes its `cone_patterns` side mask names (bit j - 1 set: larger keys).
     """
     everything = (1 << len(cells)) - 1
     halves = []  # per move, per cell: (smaller-key cells, larger-key cells)
@@ -135,17 +135,15 @@ def _cone_masks(ms: MoveSet, cells: Sequence[tuple[int, int]]) -> list[list[int]
             split[k] = (seen, everything ^ seen ^ groups[k])
             seen |= groups[k]
         halves.append([split[k] for k in keys])
-    patterns = [[side is Side.RIGHT for side in pattern]
-                for pattern in cone_patterns(ms)]
     cones = []
     for v in range(len(cells)):
         below = (1 << v) - 1
         sides = [(left & below, right & below) for left, right in (h[v] for h in halves)]
         own = []
-        for pattern in patterns:
+        for pattern in cone_patterns(ms):
             mask = below
-            for side, right in zip(sides, pattern):
-                mask &= side[right]
+            for j, side in enumerate(sides):
+                mask &= side[pattern >> j & 1]
             own.append(mask)
         cones.append(own)
     return cones
@@ -259,7 +257,7 @@ def geometric_census(ms: MoveSet, q: int, refinement: int = 1) -> Census:
     computation.  The arrangement of pieces 1..k holds the r move lines of
     piece i at positions (i-1)*r .. i*r - 1, so bits (i-1)*r .. i*r - 1 of a
     region's mask are the sides of the new piece on piece i's move lines:
-    its T2 pattern, which `cone_of_mask` turns into the cone of the pair
+    its side mask, which `cone_of_mask` turns into the cone of the pair
     (i, new).  Each new piece appends its cones to a tuple, so a complete
     placement holds the cones of the pairs i < k in placement order, which
     `key_from_cones` turns into the key.  A `Point` is built only for a
@@ -455,11 +453,14 @@ def census_from_dict(data: dict) -> Census:
     q, exact = data["q"], data["exact"]
     if type(q) is not int or type(exact) is not bool:
         raise TypeError(f"q = {q!r} is not an int or exact = {exact!r} not a bool")
+    ms = parse_moves(data["moves"])
     types = frozenset(
         canonical_unlabelled(type_from_dict(entry)) for entry in data["types"]
     )
+    if any((t.q, t.r) != (q, ms.r) for t in types):
+        raise ValueError(f"a type is not one of q = {q} pieces of a {ms.r}-move rider")
     return Census(
-        parse_moves(data["moves"]), q, data["engine"],
+        ms, q, data["engine"],
         types, exact, dict(data.get("metadata", {})),
     )
 

@@ -1,23 +1,25 @@
 """Combinatorial types of nonattacking rider configurations.
 
-Two encodings of the same data: T1 gives, for every ordered piece pair
-(i, k), the index 1..2r of the cone of piece i's move-line arrangement that
-contains piece k; T2 gives, for every (piece i, move line j, piece k), the
-side of the oriented line.  Region numbering is anchored at the ray of
-smallest nonnegative angle from the positive x-axis and runs counterclockwise,
-so signatures are reproducible across runs.
+A labelled type is its T1 key: for every ordered piece pair (i, k), the
+index 1..2r of the cone of piece i's move-line arrangement that contains
+piece k.  Each cone has one side mask, bit j - 1 set when the cone is Right
+of move line j (`cone_patterns`, inverted by `cone_of_mask`), so the side of
+line j of piece i on which piece k lies is bit j - 1 of
+`cone_patterns(ms)[t.region(i, k) - 1]`.  Region numbering is anchored at
+the ray of smallest nonnegative angle from the positive x-axis and runs
+counterclockwise, so signatures are reproducible across runs.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 from typing import Sequence
 
-from .geometry import BasicMove, GeometryError, MoveSet, Point, Side
+from .geometry import BasicMove, GeometryError, MoveSet, Point
 
 
 class AttackError(ValueError):
@@ -67,46 +69,40 @@ def _cone_interior(rays: Sequence[BasicMove], k: int) -> tuple[int, int]:
     return (-a.d, a.c)
 
 
-def _sides(ms: MoveSet, dx: Fraction | int, dy: Fraction | int) -> tuple[Side, ...]:
-    # the side of direction (dx, dy) against each move line
-    return tuple(Side.LEFT if cross > 0 else Side.RIGHT if cross else Side.ON
-                 for cross in (m.c * dy - m.d * dx for m in ms.moves))
+def _side_mask(ms: MoveSet, v: Sequence[Fraction | int]) -> tuple[int, int]:
+    """The side mask of direction v, bit j - 1 set when v is Right of move
+    line j (negative cross product), and the first move line v lies on, or 0.
+    In integers: v is scaled by the positive product of its denominators."""
+    dx, dy = v[0].numerator * v[1].denominator, v[1].numerator * v[0].denominator
+    crosses = [m.c * dy - m.d * dx for m in ms.moves]
+    mask = sum(1 << j for j, cross in enumerate(crosses) if cross < 0)
+    return mask, crosses.index(0) + 1 if 0 in crosses else 0
 
 
 @lru_cache(maxsize=None)
-def cone_patterns(ms: MoveSet) -> tuple[tuple[Side, ...], ...]:
-    """For each region index, the Left/Right pattern against every move line."""
+def cone_patterns(ms: MoveSet) -> tuple[int, ...]:
+    """For each region index, the side mask of its cone: bit j - 1 is set
+    when the cone is Right of move line j, as in `geometry.region_masks`."""
     rays = region_numbering(ms)
-    patterns = tuple(_sides(ms, *_cone_interior(rays, k)) for k in range(1, len(rays) + 1))
-    assert not any(Side.ON in p for p in patterns), "a cone interior lies on a move line"
-    return patterns
-
-
-@lru_cache(maxsize=None)
-def cone_of_pattern(ms: MoveSet) -> dict[tuple[Side, ...], int]:
-    """Inverse of `cone_patterns`: region index of each side pattern."""
-    return {pattern: idx + 1 for idx, pattern in enumerate(cone_patterns(ms))}
+    masks, on = zip(*(_side_mask(ms, _cone_interior(rays, k)) for k in range(1, len(rays) + 1)))
+    assert not any(on), "a cone interior lies on a move line"
+    return masks
 
 
 @lru_cache(maxsize=None)
 def cone_of_mask(ms: MoveSet) -> dict[int, int]:
-    """`cone_of_pattern` keyed by r-bit masks: bit j - 1 is set when the
-    pattern is Right of move line j."""
-    return {sum(1 << j for j, side in enumerate(pattern) if side is Side.RIGHT): g
-            for pattern, g in cone_of_pattern(ms).items()}
+    """Inverse of `cone_patterns`: the region index of each side mask."""
+    return {mask: g for g, mask in enumerate(cone_patterns(ms), start=1)}
 
 
 def cone_index(ms: MoveSet, v: tuple[Fraction, Fraction]) -> int:
     """Index 1..2r of the open cone containing direction v: the region whose
-    side pattern v has against the move lines.
-
-    Exact: v must not be parallel to any move (raises AttackError otherwise).
-    """
-    pattern = _sides(ms, v[0].numerator * v[1].denominator, v[1].numerator * v[0].denominator)
-    if Side.ON in pattern:
-        j = pattern.index(Side.ON) + 1
+    side mask v has against the move lines.  Exact: v must not be parallel to
+    any move (raises AttackError otherwise)."""
+    mask, j = _side_mask(ms, v)
+    if j:
         raise AttackError(f"direction {v} lies on move line {j} (slope of {ms.moves[j - 1]})")
-    return cone_of_pattern(ms)[pattern]
+    return cone_of_mask(ms)[mask]
 
 
 def antipode(g: int, r: int) -> int:
@@ -122,9 +118,9 @@ def is_nonattacking(ms: MoveSet, cfg: Config) -> bool:
 def attack_witness(ms: MoveSet, cfg: Config):
     """First (i, k, j) with piece k on move line j of piece i, or None."""
     for i, k in itertools.combinations(range(cfg.q), 2):
-        sides = _sides(ms, *(cfg.pieces[k] - cfg.pieces[i]))
-        if Side.ON in sides:
-            return (i + 1, k + 1, sides.index(Side.ON) + 1)
+        _, j = _side_mask(ms, cfg.pieces[k] - cfg.pieces[i])
+        if j:
+            return (i + 1, k + 1, j)
     return None
 
 
@@ -241,68 +237,17 @@ def orbit_size(t: LabelledType) -> int:
     return len({g(t.key) for g in _relabellings(t.q)})
 
 
-@dataclass(frozen=True)
-class T2Type:
-    """Side data per (piece i, move line j, piece k) triple."""
-
-    q: int
-    r: int
-    triples: tuple[tuple[int, int, int, Side], ...]  # (i, j, k, side), sorted
-    _sides: dict = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "triples", tuple(sorted(self.triples)))
-        object.__setattr__(self, "_sides", {(i, j, k): side for i, j, k, side in self.triples})
-
-    def side(self, i: int, j: int, k: int) -> Side:
-        return self._sides[(i, j, k)]
-
-
-def t1_to_t2(t: LabelledType, ms: MoveSet) -> T2Type:
-    """Convert region indices into per-line side data."""
+def reorient_type(t: LabelledType, ms: MoveSet, j: int) -> LabelledType:
+    """Type of the same configuration after reorienting move j: bit j - 1 of
+    each cone's side mask flips, and the cone is read off the reoriented move
+    set.  The angle-anchored cones keep their indices, so this is the identity
+    on keys; the lookup is kept as a consistency check rather than shortcut."""
+    cone_of = cone_of_mask(ms.reorient(j))  # raises unless 1 <= j <= r
     if ms.r != t.r:
         raise GeometryError("move set size does not match the type")
     patterns = cone_patterns(ms)
-    triples = []
-    for i, k, region in t.entries:
-        for j, side in enumerate(patterns[region - 1], start=1):
-            triples.append((i, j, k, side))
-    return T2Type(t.q, t.r, tuple(triples))
-
-
-def t2_to_t1(t2: T2Type, ms: MoveSet) -> LabelledType:
-    """Inverse conversion; raises unless every pair has a side on every line
-    matching a region, and nothing else is given."""
-    if ms.r != t2.r:
-        raise GeometryError("move set size does not match the type")
-    index_of = cone_of_pattern(ms)
-    key = []
-    for i, k in key_pairs(t2.q):
-        pattern = tuple(t2._sides.get((i, j, k)) for j in range(1, t2.r + 1))
-        if pattern not in index_of:
-            raise GeometryError(f"side pattern {pattern} of ({i},{k}) matches no region of {ms}")
-        key.append(index_of[pattern])
-    if len(t2.triples) != len(key) * t2.r:
-        raise GeometryError("side data given beyond every pair and line")
-    return LabelledType(t2.q, t2.r, tuple(key))
-
-
-def reorient_type(t: LabelledType, ms: MoveSet, j: int) -> LabelledType:
-    """Type of the same configuration after reorienting move j.
-
-    Routed through T2 (flip every side on line j, reconvert under the
-    reoriented move set).  With the angle-anchored T1 numbering the cones keep
-    their indices, so this is the identity on T1 data; the conversion is kept
-    as a consistency check rather than shortcut.
-    """
-    if not 1 <= j <= ms.r:
-        raise GeometryError(f"move index {j} out of range 1..{ms.r}")
-    t2 = t1_to_t2(t, ms)
-    flipped = tuple(
-        (i, jj, k, (Side.RIGHT if side is Side.LEFT else Side.LEFT) if jj == j else side)
-        for i, jj, k, side in t2.triples
-    )
-    return t2_to_t1(T2Type(t2.q, t2.r, flipped), ms.reorient(j))
+    flip = 1 << (j - 1)
+    return LabelledType(t.q, t.r, tuple(cone_of[patterns[g - 1] ^ flip] for g in t.key))
 
 
 # -- serialization -----------------------------------------------------------
@@ -312,10 +257,13 @@ def type_to_dict(t: LabelledType) -> dict:
 
 
 def type_from_dict(data: dict) -> LabelledType:
-    """Inverse of `type_to_dict`; raises unless the entries cover every
-    ordered pair exactly once."""
-    q = int(data["q"])
-    entries = sorted((int(i), int(k), int(region)) for i, k, region in data["entries"])
-    if [entry[:2] for entry in entries] != list(key_pairs(q)):
+    """Inverse of `type_to_dict`; raises unless q, r and each (i, k, region)
+    are ints, not floats, strings or bools, and cover every pair once."""
+    q, r = data["q"], data["r"]
+    entries = sorted(tuple(entry) for entry in data["entries"])
+    if any(type(x) is not int for x in (q, r, *itertools.chain(*entries))):
+        raise TypeError("a labelled type holds a value that is not an int")
+    # the length first: a spoiled q must not build its q(q - 1) pairs
+    if len(entries) != q * (q - 1) or [entry[:2] for entry in entries] != list(key_pairs(q)):
         raise GeometryError("labelled type must cover every ordered pair exactly once")
-    return LabelledType(q, int(data["r"]), tuple(entry[2] for entry in entries))
+    return LabelledType(q, r, tuple(region for _, _, region in entries))

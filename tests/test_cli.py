@@ -222,14 +222,27 @@ def test_census_entry_with_a_broken_type_is_a_miss(tmp_path, capsys):
     (entry,) = tmp_path.iterdir()
     good = json.loads(entry.read_text())
     census = good["value"]
-    pairs = census["types"][0]["entries"]
-    period = 2 * census["r"]
-    for broken in (pairs[1:],                           # a pair missing
-                   pairs + [[1, 4, 1]],                 # a pair of no piece
-                   pairs + [pairs[0]],                  # a pair repeated
-                   [[1, 2, 0]] + pairs[1:],             # region 0
-                   [[1, 2, period + 1]] + pairs[1:]):   # region 2r + 1
-        types = [dict(census["types"][0], entries=broken)] + census["types"][1:]
+    first = census["types"][0]
+    pairs = first["entries"]
+    r = census["r"]
+    assert pairs[0] == [1, 2, 1]  # the least key starts in cone 1
+
+    def in_cone_1(q, r):  # a well-formed type of q pieces of an r-move rider
+        pairs = itertools.permutations(range(1, q + 1), 2)
+        return {"q": q, "r": r, "entries": [[i, k, 1 if i < k else r + 1] for i, k in pairs]}
+
+    for broken in (dict(first, entries=pairs[1:]),                           # a pair missing
+                   dict(first, entries=pairs + [[1, 4, 1]]),                 # a pair of no piece
+                   dict(first, entries=pairs + [pairs[0]]),                  # a pair repeated
+                   dict(first, entries=[[1, 2, 0]] + pairs[1:]),             # region 0
+                   dict(first, entries=[[1, 2, 2 * r + 1]] + pairs[1:]),     # region 2r + 1
+                   dict(first, entries=[[i, k, g + 0.5] if {i, k} == {1, 2} else [i, k, g]
+                                        for i, k, g in pairs]),              # a float pair
+                   dict(first, entries=[[1, 2, "1"]] + pairs[1:]),           # a string region
+                   dict(first, entries=[[1, 2, True]] + pairs[1:]),          # a bool region
+                   in_cone_1(2, r),                                          # another q
+                   in_cone_1(3, r + 1)):                                     # another r
+        types = [broken] + census["types"][1:]
         entry.write_text(json.dumps(dict(good, value=dict(census, types=types))))
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (0, fresh), broken

@@ -1,4 +1,4 @@
-"""Type-encoding tests: region numbering, T1/T2 conversion, canonicalization,
+"""Type-encoding tests: region numbering, cone side masks, canonicalization,
 reorientation.  The queen example table is frozen after checking it against a
 float-angle oracle."""
 
@@ -15,24 +15,24 @@ import pytest
 from oracles import cone_of
 
 from ridertypes.cli import PIECES, family_movesets
-from ridertypes.geometry import GeometryError, MoveSet, Point, Side, parse_moves, point
+from ridertypes.geometry import (
+    ORIGIN, GeometryError, MoveSet, Point, arrangement, move_lines, parse_moves, point,
+    region_masks,
+)
 from ridertypes.signature import (
     AttackError,
     Config,
     LabelledType,
-    T2Type,
     canonical_unlabelled,
     cone_index,
     cone_of_mask,
-    cone_of_pattern,
+    cone_patterns,
     is_nonattacking,
     key_from_cones,
     labelled_type,
     orbit_size,
     region_numbering,
     reorient_type,
-    t1_to_t2,
-    t2_to_t1,
     type_from_dict,
     type_to_dict,
 )
@@ -40,6 +40,8 @@ from ridertypes.signature import (
 QUEEN = parse_moves("1,0;0,1;1,1;1,-1")
 ROOK = parse_moves("1,0;0,1")
 FIG1 = parse_moves("1,0;1,2;1,-2")  # slopes 0 and +-2
+MOVESETS = ([parse_moves(moves) for moves in PIECES.values()]
+            + [ms for r in range(1, 7) for ms in family_movesets(r)])
 
 
 def test_region_numbering_rook():
@@ -125,15 +127,25 @@ def test_labelled_type_pair_antipodal():
     assert t.region(2, 1) == (t.region(1, 2) + QUEEN.r - 1) % (2 * QUEEN.r) + 1
 
 
-def test_cone_of_mask_matches_cone_of_pattern():
-    movesets = [ms for r in range(1, 7) for ms in family_movesets(r)]
-    movesets += [parse_moves(moves) for moves in PIECES.values()]
-    for ms in movesets:
-        table = cone_of_mask(ms)
-        assert len(table) == 2 * ms.r, str(ms)
-        for pattern, g in cone_of_pattern(ms).items():
-            mask = sum(1 << j for j, side in enumerate(pattern) if side is Side.RIGHT)
-            assert table[mask] == g, (str(ms), pattern)
+def test_cone_of_mask_inverts_cone_patterns():
+    for ms in MOVESETS:
+        masks = cone_patterns(ms)
+        # 2r of the 2^r side masks are cones, each one once
+        assert len(masks) == len(set(masks)) == 2 * ms.r, str(ms)
+        assert all(0 <= mask < 1 << ms.r for mask in masks), str(ms)
+        assert cone_of_mask(ms) == {mask: g for g, mask in enumerate(masks, start=1)}, str(ms)
+
+
+def test_cone_patterns_are_the_region_masks_around_a_piece():
+    # geometry's sweep and signature's cone table agree on the regions of one
+    # piece's move lines, on their masks, and on the cone of each region
+    for ms in MOVESETS:
+        found = region_masks(arrangement(move_lines(ms, ORIGIN)))
+        assert set(found) == set(cone_patterns(ms)), str(ms)
+        for mask, pts in found.items():
+            for xa, xb, y, den in pts:
+                v = (Fraction(xa, xb), Fraction(y, den))
+                assert cone_index(ms, v) == cone_of_mask(ms)[mask], (str(ms), v)
 
 
 def test_key_from_cones_matches_labelled_type():
@@ -263,73 +275,18 @@ def test_reorient_type_preserves_census_sets():
         assert len(mapped) == len(types)
 
 
-def test_t2_flip_under_reorientation():
-    cfg = Config((point(0, 0), point(5, 2)))
-    t = labelled_type(QUEEN, cfg)
-    j = 3
-    before = t1_to_t2(t, QUEEN)
-    after = t1_to_t2(labelled_type(QUEEN.reorient(j), cfg), QUEEN.reorient(j))
-    for (i, jj, k, side), (i2, jj2, k2, side2) in zip(before.triples, after.triples):
-        assert (i, jj, k) == (i2, jj2, k2)
-        if jj == j:
-            assert side != side2
-        else:
-            assert side == side2
-
-
-def test_t1_t2_round_trip():
-    rng = random.Random(23)
-    done = 0
-    while done < 50:
-        pieces = tuple(point(rng.randint(-20, 20), rng.randint(-20, 20))
-                       for _ in range(3))
-        if len(set(pieces)) < 3:
-            continue
-        cfg = Config(pieces)
-        if not is_nonattacking(QUEEN, cfg):
-            continue
-        done += 1
-        t = labelled_type(QUEEN, cfg)
-        assert t2_to_t1(t1_to_t2(t, QUEEN), QUEEN) == t
+def test_reorientation_flips_one_bit_of_every_cone_mask():
+    for ms in MOVESETS:
+        for j in range(1, ms.r + 1):
+            flipped = tuple(mask ^ 1 << (j - 1) for mask in cone_patterns(ms))
+            assert cone_patterns(ms.reorient(j)) == flipped, (str(ms), j)
 
 
 def test_first_quadrant_sides_for_rook():
     t = labelled_type(ROOK, Config((point(0, 0), point(2, 3))))
     assert t.region(1, 2) == 1
-    t2 = t1_to_t2(t, ROOK)
-    assert t2.side(1, 1, 2) is Side.LEFT   # above the horizontal move line
-    assert t2.side(1, 2, 2) is Side.RIGHT  # right of the upward vertical line
-    with pytest.raises(KeyError):
-        t2.side(1, 3, 2)
-
-
-def test_t2_inconsistent_pattern_rejected():
-    # for r >= 3 some Left/Right patterns match no cone
-    cfg = Config((point(0, 0), point(1, 5)))
-    tri = parse_moves("1,0;0,1;1,1")
-    t2 = t1_to_t2(labelled_type(tri, cfg), tri)
-    patterns = {tuple(side for (_, _, _, side) in t2.triples)}
-    bad = []
-    for (i, j, k, side) in t2.triples:
-        flipped = Side.LEFT if side is Side.RIGHT else Side.RIGHT
-        bad.append((i, j, k, flipped if j == 2 else side))
-    # flipping a single line's side inside a quadrant-like cone can land on a
-    # pattern matching no region; check the error path fires for some pattern
-    candidates = []
-    for sides in itertools.product((Side.LEFT, Side.RIGHT), repeat=3):
-        triples = []
-        for j, s in enumerate(sides, start=1):
-            triples.append((1, j, 2, s))
-            opp = Side.LEFT if s is Side.RIGHT else Side.RIGHT
-            triples.append((2, j, 1, opp))
-        candidates.append(T2Type(2, 3, tuple(triples)))
-    failures = 0
-    for cand in candidates:
-        try:
-            t2_to_t1(cand, tri)
-        except GeometryError:
-            failures += 1
-    assert failures == 2 ** 3 - 2 * 3  # 2r of 2^r patterns are realizable
+    # Left of (above) the horizontal move line, Right of the upward vertical one
+    assert cone_patterns(ROOK)[t.region(1, 2) - 1] == 0b10
 
 
 def test_antipodal_violation_rejected():
@@ -375,3 +332,13 @@ def test_type_from_dict_rejects_bad_entries():
     ):
         with pytest.raises(GeometryError):
             type_from_dict(dict(good, entries=bad))
+    pair, *rest = entries
+    for bad in (
+        dict(good, entries=[pair[:2] + [pair[2] + 0.5]] + rest),  # a float region
+        dict(good, entries=[pair[:2] + [str(pair[2])]] + rest),   # a string region
+        dict(good, entries=[[True, *pair[1:]]] + rest),           # a bool piece
+        dict(good, q=float(good["q"])),
+        dict(good, r=str(good["r"])),
+    ):
+        with pytest.raises(TypeError):
+            type_from_dict(bad)
