@@ -18,6 +18,8 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .boards import Board, lattice_points
@@ -51,6 +53,7 @@ from .signature import (
     labelled_type,
     least_relabelling,
     orbit_size,
+    type_dict,
     type_from_dict,
     type_to_dict,
 )
@@ -75,7 +78,7 @@ class Census:
     def size(self) -> int:
         return len(self.types)
 
-    @property
+    @cached_property
     def labelled_count(self) -> int:
         return sum(orbit_size(t) for t in self.types)
 
@@ -435,7 +438,9 @@ def witness_checks(ms: MoveSet, w: FoursWitness) -> dict[str, bool]:
 
 # -- serialization and cache -------------------------------------------------
 
-def census_to_dict(census: Census) -> dict:
+def census_fields(census: Census) -> tuple[dict, list[LabelledType]]:
+    """The fields of `census_to_dict` but "types", and the types in the
+    order it lists them, by key."""
     return {
         "engine": census.engine,
         "moves": str(census.ms),
@@ -444,9 +449,42 @@ def census_to_dict(census: Census) -> dict:
         "exact": census.exact,
         "unlabelled": census.size,
         "labelled": census.labelled_count,
-        "types": [type_to_dict(t) for t in sorted(census.types, key=lambda t: t.key)],
         "metadata": census.metadata,
-    }
+    }, sorted(census.types, key=attrgetter("key"))
+
+
+def census_to_dict(census: Census) -> dict:
+    fields, types = census_fields(census)
+    return {**fields, "types": [type_to_dict(t) for t in types]}
+
+
+@lru_cache(maxsize=None)
+def _type_template(q: int, r: int) -> str:
+    # a type whose regions are the strings "@0", "@1", ..., dumped where a
+    # report's "types" list holds it, with braces escaped and each
+    # placeholder made the format field of its region
+    marks = [f"@{n}" for n in range(q * (q - 1))]
+    text = json.dumps({"types": [type_dict(q, r, marks)]}, sort_keys=True, indent=2)
+    text = text.removeprefix('{\n  "types": [\n').removesuffix('\n  ]\n}')
+    text = text.replace("{", "{{").replace("}", "}}")
+    for n, mark in enumerate(marks):
+        text = text.replace(f'"{mark}"', f"{{{n}}}")
+    return text
+
+
+def report_text(report: dict, types: Sequence[LabelledType]) -> str:
+    """`json.dumps({**report, "types": [type_to_dict(t) for t in types]},
+    sort_keys=True, indent=2)`, byte for byte.  With `indent` set, `json`
+    runs its pure-Python encoder, one step per integer; here `json` writes
+    the report with an empty "types" list, and each type is one
+    `str.format` of its (q, r) template over its key."""
+    text = json.dumps({**report, "types": []}, sort_keys=True, indent=2)
+    if not types:
+        return text
+    # only the top-level key sits at a two-space indent after a newline
+    head, tail = text.split('\n  "types": []')
+    body = ",\n".join(_type_template(t.q, t.r).format(*t.key) for t in types)
+    return f'{head}\n  "types": [\n{body}\n  ]{tail}'
 
 
 def census_from_dict(data: dict) -> Census:

@@ -15,6 +15,7 @@ import operator
 import os
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from .boards import lattice_points, parse_board
 from .census import (
@@ -22,6 +23,7 @@ from .census import (
     cache_key,
     cache_load,
     cache_store,
+    census_fields,
     census_from_dict,
     census_to_dict,
     count_nonattacking,
@@ -29,6 +31,7 @@ from .census import (
     geometric_census,
     grid_census,
     random_census,
+    report_text,
     stabilized_census,
     witness_checks,
 )
@@ -50,6 +53,7 @@ from .formulas import (
     types_from_counts,  # unused here; bench/run.py traces cli.types_from_counts
 )
 from .geometry import GeometryError, MoveSet, parse_moves
+from .signature import LabelledType
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -70,8 +74,12 @@ def _read_text(path: str) -> str | None:
         return None
 
 
-def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2)
+def _emit(report: dict, output: str | None,
+          types: Sequence[LabelledType] | None = None) -> None:
+    """Write the report as `json.dumps(report, sort_keys=True, indent=2)`;
+    a census report's types go in at its "types" key (`report_text`)."""
+    text = (json.dumps(report, sort_keys=True, indent=2) if types is None
+            else report_text(report, types))
     if output:
         Path(output).write_text(text + "\n")
     else:
@@ -198,6 +206,7 @@ def cmd_types(args) -> int:
 
     if args.engine == "ff":
         report = run_ff(ms, args.q, args.prime_floor, cache_dir=cache_dir)
+        types = None
     else:
         # each engine's census, and the options it reads: its cache query
         if args.engine == "geometric":
@@ -219,9 +228,10 @@ def cmd_types(args) -> int:
                             functools.partial(_cached_census, query))
         if cached is not None:
             _log(f"cache hit for {args.engine} census")
-        report = census_to_dict(run() if cached is None else cached)
+        census = run() if cached is None else cached
         if cached is None:
-            cache_store(cache_dir, "census", query, report)
+            cache_store(cache_dir, "census", query, census_to_dict(census))
+        report, types = census_fields(census)
 
     golden = golden_types(ms, args.q)
     report["golden"] = None if golden is None else {
@@ -231,7 +241,7 @@ def cmd_types(args) -> int:
          f"{golden[0]} [{golden[1]}], {report['golden']['verdict']}"))
     _log(f"{args.engine} census: {report['unlabelled']} unlabelled "
          f"({report['labelled']} labelled), exact={report['exact']}")
-    _emit(report, args.output)
+    _emit(report, args.output, types)
     if args.check and golden is not None and report["golden"]["verdict"] != "match":
         return EXIT_MISMATCH
     return EXIT_OK

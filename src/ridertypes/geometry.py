@@ -92,9 +92,9 @@ class MoveSet:
         for i in range(len(slopes)):
             for j in range(i + 1, len(slopes)):
                 if slopes[i] == slopes[j]:
-                    raise GeometryError(
-                        f"moves {self.moves[i]} and {self.moves[j]} share slope {slopes[i]}"
-                    )
+                    # by position: the moves are already in lowest terms,
+                    # so 2,0 would read as 1,0
+                    raise GeometryError(f"moves {i + 1} and {j + 1} share slope {slopes[i]}")
 
     @property
     def r(self) -> int:

@@ -253,7 +253,14 @@ def reorient_type(t: LabelledType, ms: MoveSet, j: int) -> LabelledType:
 # -- serialization -----------------------------------------------------------
 
 def type_to_dict(t: LabelledType) -> dict:
-    return {"q": t.q, "r": t.r, "entries": [list(e) for e in t.entries]}
+    return type_dict(t.q, t.r, t.key)
+
+
+def type_dict(q: int, r: int, regions: Sequence) -> dict:
+    """The JSON form of a type of q pieces and r moves: an (i, k, region)
+    entry per pair, with `regions` in `key_pairs` order.  A report's
+    template passes placeholders for the regions."""
+    return {"q": q, "r": r, "entries": [[i, k, g] for (i, k), g in zip(key_pairs(q), regions)]}
 
 
 def type_from_dict(data: dict) -> LabelledType:

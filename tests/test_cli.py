@@ -12,8 +12,19 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
+import pytest
+
 from ridertypes import cli, finitefield
-from ridertypes.cli import PIECES, main
+from ridertypes.boards import SQUARE, TRIANGLE
+from ridertypes.census import (
+    census_fields,
+    census_to_dict,
+    geometric_census,
+    grid_census,
+    random_census,
+    stabilized_census,
+)
+from ridertypes.cli import PIECES, family_movesets, main
 from ridertypes.finitefield import valid_primes_from
 from ridertypes.geometry import parse_moves
 
@@ -70,15 +81,81 @@ def test_types_json_deterministic(capsys):
 
 
 def test_types_cache_round_trip(tmp_path, capsys):
-    args = ("--cache-dir", str(tmp_path), "types", "--moves", "semiqueen",
-            "--q", "2", "--engine", "grid", "--n", "6")
-    code1, out1, _ = run_cli(capsys, *args)
-    assert code1 == 0
-    assert list(tmp_path.glob("*.json"))
-    code2, out2, err2 = run_cli(capsys, *args)
-    assert code2 == 0
-    assert json.loads(out2)["unlabelled"] == json.loads(out1)["unlabelled"]
-    assert "cache hit" in err2
+    # a hit prints the miss's report byte for byte
+    for n, engine in enumerate((("grid", "--n", "6"), ("grid", "--n-max", "8"),
+                                ("geometric",), ("random", "--samples", "300", "--seed", "3"),
+                                ("ff",))):
+        args = ("--cache-dir", str(tmp_path / str(n)), "types", "--moves",
+                "semiqueen", "--q", "3", "--engine", *engine)
+        code1, out1, err1 = run_cli(capsys, *args)
+        assert code1 == 0 and "cache hit" not in err1
+        assert list((tmp_path / str(n)).glob("*.json"))
+        code2, out2, err2 = run_cli(capsys, *args)
+        assert code2 == 0
+        assert out2 == out1, engine
+        assert json.loads(out2)["unlabelled"] > 1
+        # the ff engine caches per-prime counts and logs no census hit
+        assert ("cache hit" in err2) == (engine[0] != "ff")
+
+
+def assert_same_text(text: str, expected: str, what: object = "") -> None:
+    # pytest's diff of two megabyte-long strings takes minutes: name the
+    # first line that differs instead
+    if text != expected:
+        got, want = text.splitlines(), expected.splitlines()
+        n = next((n for n, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        pytest.fail(f"{what}: line {n + 1} differs: {got[n:n + 1]} != {want[n:n + 1]}")
+
+
+def indented_json(census, golden) -> str:
+    """A `types` report as json's indented encoder writes it:
+    `census_to_dict` (the cache value) with the golden entry."""
+    return json.dumps({**census_to_dict(census), "golden": golden},
+                      sort_keys=True, indent=2) + "\n"
+
+
+def test_census_reports_are_json_indented_text(capsys):
+    # types are written from per-(q, r) templates; the text is json's own
+    golden = {"annotation": "exact", "value": 1, "verdict": "match"}
+    cases = [(ms, q) for r in range(1, 7) for ms in family_movesets(r) for q in (1, 2, 3)]
+    # at q = 4 one move set per r: a 6-move census takes about 2 s
+    cases += [(family_movesets(r, 1)[0], 4) for r in range(1, 7)]
+    censuses = [geometric_census(ms, q) for ms, q in cases]
+    assert [t.key for t in censuses[0].types] == [()]  # q = 1: no entries
+    queen = parse_moves(PIECES["queen"])
+    censuses += [grid_census(queen, SQUARE, 1, 2), random_census(queen, 3, 300, seed=5),
+                 stabilized_census(queen, TRIANGLE, 3, 1, 12, 2)[0]]
+    assert censuses[-3].size == 0
+    for census in censuses:
+        report, types = census_fields(census)
+        cli._emit({**report, "golden": golden}, None, types)
+        assert_same_text(capsys.readouterr().out, indented_json(census, golden), census.ms)
+
+
+def test_cli_reports_are_json_indented_text(tmp_path, capsys):
+    queen = parse_moves(PIECES["queen"])
+    for argv, census in (
+            (("--moves", "queen", "--q", "4", "--engine", "geometric"),
+             geometric_census(queen, 4)),
+            (("--moves", "queen", "--q", "2", "--engine", "grid", "--n", "1"),
+             grid_census(queen, SQUARE, 1, 2))):
+        code, out, _ = run_cli(capsys, "types", *argv)
+        assert code == 0
+        assert_same_text(out, indented_json(census, json.loads(out)["golden"]), argv)
+    assert json.loads(out)["types"] == []
+    bfile = tmp_path / "queens.txt"
+    code, out, _ = run_cli(capsys, "count", "--moves", "queen", "--q", "2", "--n-range", "1:12")
+    rows = json.loads(out)["rows"]
+    bfile.write_text("".join(f"{r['n']} {r['unlabelled']}\n" for r in rows))
+    outs = [out]
+    for argv in (("fit", "--data", str(bfile), "--q", "2"), ("verify", "table1"),
+                 ("verify", "fours"), ("types", "--moves", "queen", "--q", "3")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        outs.append(out)
+    for out in outs:
+        assert_same_text(out, json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n")
 
 
 def test_corrupt_cache_entries_are_recomputed(tmp_path, capsys):
@@ -606,6 +683,13 @@ def test_unwritable_paths_are_usage_errors(tmp_path, capsys):
             == [err.splitlines()[-1]], err
 
 
+def test_duplicate_slope_names_the_moves_by_position(capsys):
+    # 2,0 is 1,0 in lowest terms: the message names what the user typed
+    code, out, err = run_cli(capsys, "types", "--moves", "1,0;2,0", "--q", "2")
+    assert (code, out) == (2, "")
+    assert "moves 1 and 2 share slope 0" in err
+
+
 def test_q_below_one_rejected(tmp_path, capsys):
     data = tmp_path / "rows.txt"
     data.write_text("1 0\n2 0\n3 4\n4 16\n")
@@ -619,12 +703,20 @@ def test_q_below_one_rejected(tmp_path, capsys):
 
 
 def test_output_to_file(tmp_path, capsys):
+    # the file holds the text the same query prints
     target = tmp_path / "report.json"
-    code, out, _ = run_cli(capsys, "-o", str(target), "types", "--moves", "rook",
-                           "--q", "2", "--engine", "geometric")
-    assert code == 0
-    assert out == ""
-    assert json.loads(target.read_text())["unlabelled"] == 2
+    reports = []
+    for argv in (("types", "--moves", "rook", "--q", "2", "--engine", "geometric"),
+                 ("types", "--moves", "rook", "--q", "2", "--engine", "ff"),
+                 ("count", "--moves", "rook", "--q", "2", "--n", "3")):
+        code, out, _ = run_cli(capsys, "-o", str(target), *argv)
+        assert (code, out) == (0, "")
+        code, printed, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert target.read_text() == printed
+        reports.append(json.loads(printed))
+    assert reports[0]["unlabelled"] == reports[1]["unlabelled"] == 2
+    assert reports[2]["rows"] == [{"n": 3, "labelled": 36, "unlabelled": 18}]
 
 
 def test_usage_error_exit_code(capsys):

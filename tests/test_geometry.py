@@ -66,8 +66,10 @@ def test_move_reduction_preserves_sign():
 
 
 def test_moveset_rejects_duplicate_slopes():
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="moves 1 and 2 share slope 2"):
         MoveSet((BasicMove(1, 2), BasicMove(2, 4)))
+    with pytest.raises(GeometryError, match="moves 2 and 3 share slope Infinity"):
+        parse_moves("1,0;0,1;0,-3")
 
 
 def test_side_convention():
