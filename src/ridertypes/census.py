@@ -54,8 +54,6 @@ from .signature import (
     least_relabelling,
     orbit_size,
     type_dict,
-    type_from_dict,
-    type_to_dict,
 )
 
 
@@ -98,8 +96,8 @@ def count_nonattacking(ms: MoveSet, board: Board, n: int, q: int) -> int:
     Counts the nonattacking q-sets of cells with the bitmask core of
     `placement` (the last two pieces in closed form) and multiplies by q!.
     """
-    if q < 1 or n < 1:
-        raise GeometryError("need q >= 1 and n >= 1")
+    if q < 1:
+        raise GeometryError("need q >= 1")
     cells = lattice_points(board, n)
     if q == 1:
         return len(cells)
@@ -172,8 +170,8 @@ def grid_census(ms: MoveSet, board: Board, n: int, q: int) -> Census:
     N cells and their unions N*(N - 1)/2 more, which `boards.MAX_CELLS`
     bounds.  q = 1 builds no masks.
     """
-    if q < 1 or n < 1:
-        raise GeometryError("need q >= 1 and n >= 1")
+    if q < 1:
+        raise GeometryError("need q >= 1")
     cells = lattice_points(board, n)
     everything = (1 << len(cells)) - 1
     cones = _cone_masks(ms, cells) if q > 1 else []
@@ -454,8 +452,9 @@ def census_fields(census: Census) -> tuple[dict, list[LabelledType]]:
 
 
 def census_to_dict(census: Census) -> dict:
+    """The cache value: the report's fields, and the types as their keys."""
     fields, types = census_fields(census)
-    return {**fields, "types": [type_to_dict(t) for t in types]}
+    return {**fields, "types": [t.key for t in types]}
 
 
 @lru_cache(maxsize=None)
@@ -473,8 +472,8 @@ def _type_template(q: int, r: int) -> str:
 
 
 def report_text(report: dict, types: Sequence[LabelledType]) -> str:
-    """`json.dumps({**report, "types": [type_to_dict(t) for t in types]},
-    sort_keys=True, indent=2)`, byte for byte.  With `indent` set, `json`
+    """`json.dumps({**report, "types": [type_dict(t.q, t.r, t.key) for t in
+    types]}, sort_keys=True, indent=2)`, byte for byte.  With `indent` set, `json`
     runs its pure-Python encoder, one step per integer; here `json` writes
     the report with an empty "types" list, and each type is one
     `str.format` of its (q, r) template over its key."""
@@ -492,20 +491,19 @@ def census_from_dict(data: dict) -> Census:
     if type(q) is not int or type(exact) is not bool:
         raise TypeError(f"q = {q!r} is not an int or exact = {exact!r} not a bool")
     ms = parse_moves(data["moves"])
-    types = frozenset(
-        canonical_unlabelled(type_from_dict(entry)) for entry in data["types"]
-    )
-    if any((t.q, t.r) != (q, ms.r) for t in types):
-        raise ValueError(f"a type is not one of q = {q} pieces of a {ms.r}-move rider")
-    return Census(
-        ms, q, data["engine"],
-        types, exact, dict(data.get("metadata", {})),
-    )
+    keys = [tuple(key) for key in data["types"]]
+    size = q * (q - 1)
+    # the length first: a spoiled q must not build its q(q - 1) pairs; and
+    # no float or bool may pass `LabelledType`'s range check as an int
+    if any(len(key) != size or any(type(g) is not int for g in key) for key in keys):
+        raise TypeError(f"a type is not a key of q(q - 1) = {size} ints")
+    types = frozenset(canonical_unlabelled(LabelledType(q, ms.r, key)) for key in keys)
+    return Census(ms, q, data["engine"], types, exact, dict(data.get("metadata", {})))
 
 
 # Hashed into every cache key.  Raise it whenever an engine's results or
 # their encoding change, so that entries written by older code are not served.
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 
 
 def cache_key(kind: str, query: dict) -> str:

@@ -250,27 +250,10 @@ def reorient_type(t: LabelledType, ms: MoveSet, j: int) -> LabelledType:
     return LabelledType(t.q, t.r, tuple(cone_of[patterns[g - 1] ^ flip] for g in t.key))
 
 
-# -- serialization -----------------------------------------------------------
-
-def type_to_dict(t: LabelledType) -> dict:
-    return type_dict(t.q, t.r, t.key)
-
+# -- report form -------------------------------------------------------------
 
 def type_dict(q: int, r: int, regions: Sequence) -> dict:
-    """The JSON form of a type of q pieces and r moves: an (i, k, region)
+    """The report form of a type of q pieces and r moves: an (i, k, region)
     entry per pair, with `regions` in `key_pairs` order.  A report's
     template passes placeholders for the regions."""
     return {"q": q, "r": r, "entries": [[i, k, g] for (i, k), g in zip(key_pairs(q), regions)]}
-
-
-def type_from_dict(data: dict) -> LabelledType:
-    """Inverse of `type_to_dict`; raises unless q, r and each (i, k, region)
-    are ints, not floats, strings or bools, and cover every pair once."""
-    q, r = data["q"], data["r"]
-    entries = sorted(tuple(entry) for entry in data["entries"])
-    if any(type(x) is not int for x in (q, r, *itertools.chain(*entries))):
-        raise TypeError("a labelled type holds a value that is not an int")
-    # the length first: a spoiled q must not build its q(q - 1) pairs
-    if len(entries) != q * (q - 1) or [entry[:2] for entry in entries] != list(key_pairs(q)):
-        raise GeometryError("labelled type must cover every ordered pair exactly once")
-    return LabelledType(q, r, tuple(region for _, _, region in entries))

@@ -18,7 +18,6 @@ from ridertypes import cli, finitefield
 from ridertypes.boards import SQUARE, TRIANGLE
 from ridertypes.census import (
     census_fields,
-    census_to_dict,
     geometric_census,
     grid_census,
     random_census,
@@ -27,6 +26,7 @@ from ridertypes.census import (
 from ridertypes.cli import PIECES, family_movesets, main
 from ridertypes.finitefield import valid_primes_from
 from ridertypes.geometry import parse_moves
+from ridertypes.signature import least_relabelling, type_dict
 
 
 def run_cli(capsys, *argv):
@@ -109,9 +109,11 @@ def assert_same_text(text: str, expected: str, what: object = "") -> None:
 
 
 def indented_json(census, golden) -> str:
-    """A `types` report as json's indented encoder writes it:
-    `census_to_dict` (the cache value) with the golden entry."""
-    return json.dumps({**census_to_dict(census), "golden": golden},
+    """A `types` report as json's indented encoder writes it: the census's
+    fields, the golden entry, and each type in its report form."""
+    report, types = census_fields(census)
+    return json.dumps({**report, "golden": golden,
+                       "types": [type_dict(t.q, t.r, t.key) for t in types]},
                       sort_keys=True, indent=2) + "\n"
 
 
@@ -299,27 +301,34 @@ def test_census_entry_with_a_broken_type_is_a_miss(tmp_path, capsys):
     (entry,) = tmp_path.iterdir()
     good = json.loads(entry.read_text())
     census = good["value"]
-    first = census["types"][0]
-    pairs = first["entries"]
-    r = census["r"]
-    assert pairs[0] == [1, 2, 1]  # the least key starts in cone 1
+    q, r, keys = census["q"], census["r"], census["types"]
+    # each type is stored as its least key: q(q - 1) JSON integers, sorted
+    assert keys == sorted(keys) and len(keys) == census["unlabelled"] == 17
+    for key in keys:
+        assert type(key) is list and len(key) == q * (q - 1)
+        assert all(type(g) is int for g in key)
+        assert least_relabelling(q, tuple(key)) == tuple(key)
+    first = keys[0]
+    assert first[0] == 1  # the least key starts in cone 1
 
-    def in_cone_1(q, r):  # a well-formed type of q pieces of an r-move rider
-        pairs = itertools.permutations(range(1, q + 1), 2)
-        return {"q": q, "r": r, "entries": [[i, k, 1 if i < k else r + 1] for i, k in pairs]}
+    def in_cone_1(q, r):  # a well-formed key of q pieces of an r-move rider
+        return [1 if i < k else r + 1 for i, k in itertools.permutations(range(1, q + 1), 2)]
 
-    for broken in (dict(first, entries=pairs[1:]),                           # a pair missing
-                   dict(first, entries=pairs + [[1, 4, 1]]),                 # a pair of no piece
-                   dict(first, entries=pairs + [pairs[0]]),                  # a pair repeated
-                   dict(first, entries=[[1, 2, 0]] + pairs[1:]),             # region 0
-                   dict(first, entries=[[1, 2, 2 * r + 1]] + pairs[1:]),     # region 2r + 1
-                   dict(first, entries=[[i, k, g + 0.5] if {i, k} == {1, 2} else [i, k, g]
-                                        for i, k, g in pairs]),              # a float pair
-                   dict(first, entries=[[1, 2, "1"]] + pairs[1:]),           # a string region
-                   dict(first, entries=[[1, 2, True]] + pairs[1:]),          # a bool region
-                   in_cone_1(2, r),                                          # another q
-                   in_cone_1(3, r + 1)):                                     # another r
-        types = [broken] + census["types"][1:]
+    for broken in (first[:-1],                                  # one region short
+                   first + [1],                                 # one region long
+                   [0] + first[1:],                             # region 0
+                   [2 * r + 1] + first[1:],                     # region 2r + 1
+                   [2] + first[1:],                             # an antipode broken
+                   [float(first[0])] + first[1:],               # a float, == the int
+                   [str(first[0])] + first[1:],                 # a string
+                   [True] + first[1:],                          # a bool, == 1
+                   [[first[0]]] + first[1:],                    # a nested list
+                   first[0],                                    # an int, not a list
+                   "".join(map(str, first)),                    # a string of q(q - 1) digits
+                   type_dict(q, r, first),                      # the old {q, r, entries} form
+                   in_cone_1(q - 1, r),                         # q - 1 pieces
+                   in_cone_1(q, r + 1)):                        # an (r + 1)-move rider
+        types = [broken] + keys[1:]
         entry.write_text(json.dumps(dict(good, value=dict(census, types=types))))
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (0, fresh), broken
@@ -514,6 +523,16 @@ def test_board_above_max_cells_exits_2_at_once(capsys):
         assert out == ""
         assert "MAX_CELLS" in err
         assert "Traceback" not in err
+
+
+def test_board_order_below_one_has_one_message(capsys):
+    for argv in (("types", "--engine", "grid", "--n", "0"),
+                 ("types", "--engine", "grid", "--n-start", "0"),
+                 ("count", "--n-range", "0:3"),
+                 ("count", "--n", "0")):
+        code, out, err = run_cli(capsys, argv[0], "--moves", "queen", "--q", "2", *argv[1:])
+        assert (code, out) == (2, ""), argv
+        assert err == "error: board order n must be >= 1\n", argv
 
 
 def test_count_single_queen(capsys):

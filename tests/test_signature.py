@@ -5,7 +5,6 @@ float-angle oracle."""
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 from fractions import Fraction
@@ -33,8 +32,6 @@ from ridertypes.signature import (
     orbit_size,
     region_numbering,
     reorient_type,
-    type_from_dict,
-    type_to_dict,
 )
 
 QUEEN = parse_moves("1,0;0,1;1,1;1,-1")
@@ -294,14 +291,7 @@ def test_antipodal_violation_rejected():
         LabelledType(2, 2, (1, 2))
 
 
-def test_serialization_round_trip():
-    t = labelled_type(QUEEN, Config((point(0, 0), point(3, 1), point(1, 5))))
-    data = type_to_dict(t)
-    assert data["entries"] == sorted(data["entries"])
-    assert type_from_dict(json.loads(json.dumps(type_to_dict(t)))) == t
-
-
-def test_dict_round_trip_random():
+def test_entries_list_each_pairs_region_random():
     rng = random.Random(8)
     done = 0
     while done < 200:
@@ -311,34 +301,5 @@ def test_dict_round_trip_random():
         if len(set(pieces)) < q or not is_nonattacking(ms, Config(pieces)):
             continue
         t = labelled_type(ms, Config(pieces))
-        assert type_from_dict(type_to_dict(t)) == t
-        u = canonical_unlabelled(t)
-        assert type_from_dict(type_to_dict(u)) == u
         assert all(t.region(i, k) == g for i, k, g in t.entries)
         done += 1
-
-
-def test_type_from_dict_rejects_bad_entries():
-    t = labelled_type(QUEEN, Config((point(0, 0), point(3, 1), point(1, 5))))
-    good = type_to_dict(t)
-    entries = good["entries"]
-    for bad in (
-        entries[1:],                           # a pair missing
-        entries + [[1, 4, 1]],                 # a pair of no piece
-        entries[:-1] + [entries[0]],           # a pair repeated, another missing
-        entries + [entries[0]],                # a pair repeated
-        [[1, 2, 0]] + entries[1:],             # region 0
-        [[1, 2, 2 * QUEEN.r + 1]] + entries[1:],  # region 2r + 1
-    ):
-        with pytest.raises(GeometryError):
-            type_from_dict(dict(good, entries=bad))
-    pair, *rest = entries
-    for bad in (
-        dict(good, entries=[pair[:2] + [pair[2] + 0.5]] + rest),  # a float region
-        dict(good, entries=[pair[:2] + [str(pair[2])]] + rest),   # a string region
-        dict(good, entries=[[True, *pair[1:]]] + rest),           # a bool piece
-        dict(good, q=float(good["q"])),
-        dict(good, r=str(good["r"])),
-    ):
-        with pytest.raises(TypeError):
-            type_from_dict(bad)
