@@ -246,6 +246,10 @@ def stabilized_census(
 
 # -- geometric engine --------------------------------------------------------
 
+# The largest q at which a geometric census is exact.
+GEOMETRIC_EXACT_MAX_Q = 3
+
+
 def geometric_census(ms: MoveSet, q: int, refinement: int = 1) -> Census:
     """Recursive placement: piece 1 at the origin, each further piece at
     interior sample points of the current move-line arrangement's regions.
@@ -299,7 +303,7 @@ def geometric_census(ms: MoveSet, q: int, refinement: int = 1) -> Census:
 
     placements = place((ORIGIN,), ()) if q > 1 else 1
     return Census(
-        ms, q, "geometric", _keys_to_types(keys, q, r) | types, q <= 3,
+        ms, q, "geometric", _keys_to_types(keys, q, r) | types, q <= GEOMETRIC_EXACT_MAX_Q,
         {"refinement": refinement, "placements": placements},
     )
 

@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import math
-import operator
 import os
 import sys
 from pathlib import Path
@@ -19,6 +18,7 @@ from typing import Sequence
 
 from .boards import lattice_points, parse_board
 from .census import (
+    GEOMETRIC_EXACT_MAX_Q,
     Census,
     cache_key,
     cache_load,
@@ -36,9 +36,11 @@ from .census import (
     witness_checks,
 )
 from .finitefield import (
+    MAX_PRIME,
     EngineError,
     ff_type_count,
     torus_count,
+    valid_prime,
     valid_primes_from,  # unused here; bench/run.py traces cli.valid_primes_from
     valid_torus_count,
 )
@@ -115,25 +117,44 @@ def _resolve_moves(text: str) -> MoveSet:
     return parse_moves(PIECES.get(text, text))
 
 
-def _cached_count(q: int, p: int, value: object) -> int:
-    count = operator.index(value)
-    if not valid_torus_count(q, p, count):
-        raise ValueError(f"count {count} breaks the torus invariant at p = {p}")
-    return count
+def _cached_counts(ms: MoveSet, q: int, value: object) -> dict[int, int]:
+    """The counts of a "prime-counts" value, a JSON object, by prime.  Every
+    key must be the decimal of a valid prime for `ms` up to MAX_PRIME,
+    written as `str` writes it, and every count a JSON integer that meets
+    the torus invariant."""
+    counts = {}
+    for text, count in value.items():
+        p = int(text)
+        if str(p) != text or p > MAX_PRIME or not valid_prime(ms, p):
+            raise ValueError(f"{text!r} is not a valid prime for {ms}")
+        if type(count) is not int or not valid_torus_count(q, p, count):
+            raise ValueError(f"count {count!r} breaks the torus invariant at p = {p}")
+        counts[p] = count
+    return counts
 
 
 def _cached_census(query: dict, value: dict) -> Census:
     if any(value[k] != query[k] for k in ("moves", "q", "engine")):
         raise ValueError("the value holds the census of another query")
+    # Only the geometric census, up to its exact q, is exact: no census the
+    # CLI runs is confirmed by another engine.  An option that the metadata
+    # also records, such as the refinement, must be the query's.
+    exact = query["engine"] == "geometric" and query["q"] <= GEOMETRIC_EXACT_MAX_Q
+    metadata = value["metadata"]
+    if (type(metadata) is not dict or value["exact"] is not exact
+            or any(type(metadata[k]) is not type(v) or metadata[k] != v
+                   for k, v in query.items() if k in metadata)):
+        raise ValueError("the value's exact or metadata is not the query's")
     return census_from_dict(value)
 
 
 # Per-prime counts go to a process pool from this q on, and are counted in
-# this process below it.  Measured on a 2-vCPU host, fresh cache, medians
-# of 3 to 5 runs: starting a pool costs 8-16 ms, so at q = 4 (7 primes)
-# `run_ff` takes 10-12 ms on two workers against about 2 ms serially.  At
-# q = 5 (9 primes, 11..41) the three 3-move riders and queens take
-# 0.28-0.38 s on two workers against 0.37-0.62 s serially.
+# this process below it.  Measured on a 2-vCPU host, fresh cache: starting
+# a pool costs 8-16 ms, so at q = 4 (7 primes) `run_ff` takes 12-17 ms on
+# two workers against 1.2-1.8 ms serially (medians of 11 and 41 runs,
+# semiqueen, one cache write).  At q = 5 (9 primes, 11..41) the three
+# 3-move riders and queens take 0.28-0.38 s on two workers against
+# 0.37-0.62 s serially (medians of 3 to 5 runs).
 POOL_MIN_Q = 5
 
 
@@ -148,17 +169,19 @@ def _torus_counts(ms: MoveSet, q: int, primes: list[int],
                   cache_dir: str | None) -> dict[int, int]:
     """Each prime's torus count, from the cache or counted; from q =
     POOL_MIN_Q on, missing primes are spread over one worker per prime and
-    per usable CPU."""
-    counts: dict[int, int] = {}
-    missing: dict[int, dict] = {}  # prime -> cache query
-    for p in primes:
-        query = {"moves": str(ms), "q": q, "p": p}
-        hit = cache_load(cache_dir, cache_key("prime-count", query),
-                         functools.partial(_cached_count, q, p))
-        if hit is not None:
-            counts[p] = hit
-        else:
-            missing[p] = query
+    per usable CPU.
+
+    The cache holds one entry per move set and q, from each prime counted
+    so far to its count, and every window that counts a new prime rewrites
+    it with the union.  Two processes that rewrite it at once can drop
+    each other's new counts, never serve a wrong one."""
+    query = {"moves": str(ms), "q": q}
+    held = cache_load(cache_dir, cache_key("prime-counts", query),
+                      functools.partial(_cached_counts, ms, q)) or {}
+    missing = [p for p in primes if p not in held]
+    if cache_dir is not None:
+        _log(f"prime counts: {len(primes) - len(missing)} of {len(primes)} from the cache")
+    counts = {p: held[p] for p in primes if p in held}
     workers = min(len(missing), _usable_cpus()) if q >= POOL_MIN_Q else 1
     if workers > 1:
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -174,8 +197,9 @@ def _torus_counts(ms: MoveSet, q: int, primes: list[int],
     else:
         for p in missing:
             counts[p] = torus_count(ms, q, p)
-    for p, query in missing.items():
-        cache_store(cache_dir, "prime-count", query, counts[p])
+    if missing:
+        union = {**held, **counts}
+        cache_store(cache_dir, "prime-counts", query, {str(p): c for p, c in union.items()})
     return counts
 
 

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -94,8 +96,9 @@ def test_types_cache_round_trip(tmp_path, capsys):
         assert code2 == 0
         assert out2 == out1, engine
         assert json.loads(out2)["unlabelled"] > 1
-        # the ff engine caches per-prime counts and logs no census hit
+        # the ff engine caches its prime counts and logs no census hit
         assert ("cache hit" in err2) == (engine[0] != "ff")
+        assert ("prime counts: 5 of 5 from the cache" in err2) == (engine[0] == "ff")
 
 
 def assert_same_text(text: str, expected: str, what: object = "") -> None:
@@ -166,44 +169,51 @@ def test_corrupt_cache_entries_are_recomputed(tmp_path, capsys):
     geometric = ff[:-1] + ("geometric",)
     code1, out1, _ = run_cli(capsys, *ff)
     assert code1 == 0
-    entries = sorted(tmp_path.iterdir())
-    assert len(entries) == finitefield.window_size(3) == 5
-    assert all(e.suffix == ".json" for e in entries)
-    fresh = [json.loads(e.read_text()) for e in entries]
+    # one entry for all the primes of the window
+    (entry,) = tmp_path.iterdir()
+    assert entry.suffix == ".json"
+    fresh = json.loads(entry.read_text())
+    assert len(fresh["value"]) == finitefield.window_size(3) == 5
     code_g, out_g, _ = run_cli(capsys, *geometric)
     assert code_g == 0
-    (census_entry,) = set(tmp_path.iterdir()) - set(entries)
+    (census_entry,) = set(tmp_path.iterdir()) - {entry}
     with_value = lambda good, value: json.dumps(dict(good, value=value)).encode()
+    p = min(fresh["value"])  # a prime of the window, as its key
+    with_count = lambda good, count: with_value(good, dict(good["value"], **{p: count}))
     spoilers = [
         lambda good: b'{"value": 12',  # cut short
         lambda good: b"\xff\xfe",  # not UTF-8
         lambda good: b"[1, 2]",  # not an object
         lambda good: b"[" * 100_000,  # nested past the recursion limit
         lambda good: b"{}",  # parses, but is no entry
-        lambda good: json.dumps({k: good[k] for k in ("kind", "query")}).encode(),  # no count
-        lambda good: with_value(good, "x"),  # count not an integer
+        lambda good: json.dumps({k: good[k] for k in ("kind", "query")}).encode(),  # no counts
+        lambda good: with_value(good, "x"),  # counts not an object
         lambda good: with_value(good, None),
-        lambda good: with_value(good, 12.5),  # int() would truncate it
+        lambda good: with_value(good, 12.5),
+        lambda good: with_value(good, list(good["value"].items())),  # pairs, not an object
+        # one count of the window spoiled, the others good
+        lambda good: with_count(good, "x"),  # count not an integer
+        lambda good: with_count(good, None),
+        lambda good: with_count(good, 12.5),  # int() would truncate it
         # well formed, but off by one: breaks the torus invariant
-        lambda good: with_value(good, good["value"] - 1),
+        lambda good: with_count(good, good["value"][p] - 1),
     ]
     good_census = json.loads(census_entry.read_text())
     census_entry.write_text(json.dumps(dict(good_census, value={})))  # no types
     code3, out3, err3 = run_cli(capsys, *geometric)
     assert (code3, out3) == (0, out_g)
     assert err3.count("does not parse") == 1
-    # more spoilers than entries: one round per window's worth
-    for start in range(0, len(spoilers), len(entries)):
-        batch = spoilers[start:start + len(entries)]
-        for entry, good, spoil in zip(entries, fresh, batch):
-            entry.write_bytes(spoil(good))
+    for spoil in spoilers:
+        entry.write_bytes(spoil(fresh))
         code2, out2, err2 = run_cli(capsys, *ff)
-        assert (code2, out2) == (0, out1)
-        assert err2.count("does not parse") == len(batch)
+        assert (code2, out2) == (0, out1), spoil(fresh)[:80]
+        # the whole entry is a miss: noted once, every prime recounted
+        assert err2.count("does not parse") == 1
+        assert "prime counts: 0 of 5 from the cache" in err2
         assert "Traceback" not in err2 + err3
         # no temporary files left
-        assert sorted(tmp_path.iterdir()) == sorted(entries + [census_entry])
-        assert [json.loads(e.read_text()) for e in entries] == fresh
+        assert sorted(tmp_path.iterdir()) == sorted([entry, census_entry])
+        assert json.loads(entry.read_text()) == fresh
     code4, out4, err4 = run_cli(capsys, *geometric)
     assert (code4, out4) == (0, out_g)
     assert "cache hit" in err4 and "does not parse" not in err4
@@ -211,8 +221,9 @@ def test_corrupt_cache_entries_are_recomputed(tmp_path, capsys):
 
 def test_cache_entry_answers_only_its_own_query(tmp_path, capsys):
     # entries filed under another query's key (other moves or options), an
-    # entry whose value is another query's census, and values with a q or
-    # exact of the wrong type are misses: recomputed, noted once and replaced
+    # entry whose value is another query's census, values with a q or exact
+    # of the wrong type, and an exact or metadata that the query does not
+    # give are misses: recomputed, noted once and replaced
     def run(cache, *argv):
         return run_cli(capsys, "--cache-dir", str(cache), "types", *argv)
 
@@ -228,9 +239,15 @@ def test_cache_entry_answers_only_its_own_query(tmp_path, capsys):
     assert json.loads(refined.read_text())["query"]["refinement"] == 2
     value = lambda **kw: dict(good, value=dict(good["value"], **kw))
     other_value = json.loads(other.read_text())["value"]
+    metadata = good["value"]["metadata"]
+    assert (good["value"]["exact"], metadata["refinement"]) == (True, 1)
     for bad in (json.loads(other.read_text()), json.loads(refined.read_text()),
                 dict(good, value=other_value), value(exact="false"), value(q="3"),
-                value(q=3.0)):
+                value(q=3.0),
+                # an exact census read as inexact, and metadata of another
+                # refinement, or of the right one as a bool
+                value(exact=False), value(metadata={"placements": 1, "refinement": 99}),
+                value(metadata=dict(metadata, refinement=True)), value(metadata=[])):
         entry.write_text(json.dumps(bad))
         code, out, err = run(tmp_path / "queen", "--moves", "queen", *census)
         assert (code, out) == (0, fresh), bad
@@ -241,15 +258,15 @@ def test_cache_entry_answers_only_its_own_query(tmp_path, capsys):
     code, fresh, _ = run(tmp_path / "ff-semiqueen", "--moves", "semiqueen", *ff)
     assert code == 0
     run(tmp_path / "ff-queen", "--moves", "queen", *ff)
-    by_prime = lambda d: {json.loads(e.read_text())["query"]["p"]: e for e in d.iterdir()}
-    semiqueen, queen = by_prime(tmp_path / "ff-semiqueen"), by_prime(tmp_path / "ff-queen")
-    p = min(set(semiqueen) & set(queen))
-    good = semiqueen[p].read_text()
-    semiqueen[p].write_text(queen[p].read_text())
+    (semiqueen,) = (tmp_path / "ff-semiqueen").iterdir()
+    (queen,) = (tmp_path / "ff-queen").iterdir()
+    good = semiqueen.read_text()
+    # the queen's counts, filed under the semiqueen's key
+    semiqueen.write_text(queen.read_text())
     code, out, err = run(tmp_path / "ff-semiqueen", "--moves", "semiqueen", *ff)
     assert (code, out) == (0, fresh)
     assert err.count("does not parse") == 1
-    assert semiqueen[p].read_text() == good
+    assert semiqueen.read_text() == good
 
 
 def assert_other_entry_is_a_miss(tmp_path, capsys, argv, other):
@@ -470,10 +487,10 @@ def test_ff_retry_primes_go_through_the_cache(tmp_path, monkeypatch):
     assert asked == [first, valid_primes_from(ms, first[-1] + 1, size)]
     assert report["primes"] == asked[1]
     assert report["unlabelled"] == 3
-    for p in asked[0] + asked[1]:
-        key = cli.cache_key("prime-count", {"moves": str(ms), "q": 2, "p": p})
-        assert cli.cache_load(str(tmp_path), key, lambda count: count) == \
-            finitefield.torus_count(ms, 2, p)
+    key = cli.cache_key("prime-counts", {"moves": str(ms), "q": 2})
+    assert cli.cache_load(str(tmp_path), key, lambda counts: counts) == \
+        {str(p): finitefield.torus_count(ms, 2, p) for p in asked[0] + asked[1]}
+    assert len(list(tmp_path.iterdir())) == 1
 
 
 def test_every_attempt_exceptional_exits_3(tmp_path, capsys, monkeypatch):
@@ -493,8 +510,114 @@ def test_every_attempt_exceptional_exits_3(tmp_path, capsys, monkeypatch):
         windows.append(valid_primes_from(ms, floor, finitefield.window_size(2)))
         floor = windows[-1][-1] + 1
     assert len(windows) == 3
-    cached = sorted(json.loads(e.read_text())["query"]["p"] for e in tmp_path.iterdir())
+    (entry,) = tmp_path.iterdir()
+    cached = sorted(map(int, json.loads(entry.read_text())["value"]))
     assert cached == [p for window in windows for p in window]
+
+
+def test_prime_windows_add_to_one_entry(tmp_path, capsys, monkeypatch):
+    # a second --prime-floor counts only the primes that the entry lacks,
+    # and the entry then holds both windows' counts
+    counted = []
+    real = cli.torus_count
+
+    def recording(ms, q, p):
+        counted.append(p)
+        return real(ms, q, p)
+
+    monkeypatch.setattr(cli, "torus_count", recording)
+    ms = parse_moves(PIECES["trident"])
+    argv = ("--cache-dir", str(tmp_path), "types", "--moves", "trident", "--q", "3")
+    first, second = (valid_primes_from(ms, floor, 5) for floor in (11, 13))
+    assert first[-1] < second[-1]
+    code, out11, err = run_cli(capsys, *argv, "--prime-floor", "11")
+    assert code == 0 and counted == first
+    assert "prime counts: 0 of 5 from the cache" in err
+    counted.clear()
+    code, out13, err = run_cli(capsys, *argv, "--prime-floor", "13")
+    assert code == 0 and counted == [p for p in second if p not in first]
+    assert "prime counts: 4 of 5 from the cache" in err
+    (entry,) = tmp_path.iterdir()
+    good = json.loads(entry.read_text())
+    union = sorted(set(first) | set(second))
+    assert good["value"] == {str(p): real(ms, 3, p) for p in union}
+    # a window the entry holds writes nothing
+    inode = entry.stat().st_ino
+    counted.clear()
+    code, out, err = run_cli(capsys, *argv, "--prime-floor", "13")
+    assert (code, out, counted) == (0, out13, [])
+    assert "prime counts: 5 of 5 from the cache" in err
+    assert entry.stat().st_ino == inode and json.loads(entry.read_text()) == good
+    assert json.loads(out11)["unlabelled"] == json.loads(out13)["unlabelled"] == 17
+
+    # each spoiled key comes with a count that meets the torus invariant at
+    # its own number, so only the key check rejects it
+    assert first[0] == 11 and finitefield.MAX_PRIME < 263
+    count11 = good["value"]["11"]
+    meets = lambda n: n * n * (n - 1) * math.factorial(3)
+    keys = {"12": meets(12),     # not a prime
+            "011": count11,      # the prime 11, not as str writes it
+            " 11": count11,
+            "2": meets(2),       # divides a cross product of the trident
+            "263": meets(263)}   # a prime above MAX_PRIME
+    assert not finitefield.valid_prime(ms, 2)
+    values = [dict(good["value"], **{key: count}) for key, count in keys.items()]
+    # False and float(count11) would meet the invariant: only the type check rejects them
+    counts = (True, False, 12.5, float(count11), "x", count11 - 1)
+    values += [dict(good["value"], **{"11": count}) for count in counts]
+    for value in values:
+        entry.write_text(json.dumps(dict(good, value=value)))
+        counted.clear()
+        code, out, err = run_cli(capsys, *argv, "--prime-floor", "13")
+        assert (code, out) == (0, out13), value
+        assert err.count("does not parse") == 1 and counted == second
+        # replaced by the recounted window alone
+        assert json.loads(entry.read_text())["value"] == \
+            {str(p): real(ms, 3, p) for p in second}
+
+
+def test_concurrent_windows_never_spoil_the_entry(tmp_path, capfd):
+    # more writers than CPUs rewrite one entry at once: a writer may drop
+    # another's new counts, but every read parses and every count is right
+    ms = parse_moves(PIECES["trident"])
+    windows = [valid_primes_from(ms, floor, 3) for floor in range(11, 100, 2)]
+    count = functools.partial(cli._torus_counts, ms, 2, cache_dir=str(tmp_path))
+    context = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(4, mp_context=context) as pool:
+        results = list(pool.map(count, windows, timeout=120))
+    truth = {p: finitefield.torus_count(ms, 2, p) for window in windows for p in window}
+    assert results == [{p: truth[p] for p in window} for window in windows]
+    (entry,) = tmp_path.iterdir()
+    held = cli._cached_counts(ms, 2, json.loads(entry.read_text())["value"])
+    assert held and held == {p: truth[p] for p in held}
+    assert "does not parse" not in capfd.readouterr().err
+
+
+def test_census_entry_exact_and_metadata_follow_the_query(tmp_path, capsys):
+    # grid and random censuses are never exact, and their metadata must
+    # hold the query's options: otherwise an entry is a miss, replaced
+    for argv, spoil in (
+            (("--engine", "random", "--samples", "40", "--seed", "2"), {"exact": True}),
+            (("--engine", "random", "--samples", "40", "--seed", "2"),
+             {"metadata": {"samples": 40, "seed": 3, "nonattacking": 40}}),
+            (("--engine", "random", "--samples", "40", "--seed", "2"),
+             {"metadata": {"samples": 41, "seed": 2, "nonattacking": 40}}),
+            (("--engine", "grid", "--n", "4"), {"exact": True}),
+            (("--engine", "grid", "--n", "4"), {"metadata": {"n": 5, "cells": 16}}),
+            (("--engine", "grid", "--n-max", "6"),
+             {"metadata": {"n": 5, "stabilized_at": 3, "window": 3, "stable": True}}),
+            (("--engine", "geometric", "--q", "4"), {"exact": True})):
+        cache = tmp_path / str(len(list(tmp_path.iterdir())))
+        full = ("--cache-dir", str(cache), "types", "--moves", "queen", "--q", "2", *argv)
+        code, fresh, _ = run_cli(capsys, *full)
+        assert code == 0
+        (entry,) = cache.iterdir()
+        good = json.loads(entry.read_text())
+        entry.write_text(json.dumps(dict(good, value=dict(good["value"], **spoil))))
+        code, out, err = run_cli(capsys, *full)
+        assert (code, out) == (0, fresh), (argv, spoil)
+        assert err.count("does not parse") == 1 and "cache hit" not in err
+        assert json.loads(entry.read_text()) == good
 
 
 def test_prime_floor_above_ceiling(capsys, monkeypatch):

@@ -351,6 +351,7 @@ def test_ff_semiqueen_q5_matches_golden(tmp_path, capsys):
     # three 3-move riders share one polynomial, and queens give 14206.  They
     # run through the CLI, which spreads the 9 per-prime counts of q = 5
     # over a process pool on a host with two or more CPUs, and caches them
+    # in one entry
     chi = [0, 0, 27072, -70200, 72610, -40740, 13862, -2970, 395, -30, 1]
     for i, ms in enumerate((SEMIQUEEN, TRIDENT, THIRD, QUEEN)):
         cache = tmp_path / str(i)
@@ -362,7 +363,10 @@ def test_ff_semiqueen_q5_matches_golden(tmp_path, capsys):
         assert report["unlabelled"] == expected == (1899 if ms.r == 3 else 14206)
         assert report["labelled"] == 120 * expected
         assert (report["charpoly"] == chi) == (ms.r == 3), str(ms)
-        assert len(list(cache.iterdir())) == window_size(5) == 9
+        (entry,) = cache.iterdir()
+        value = json.loads(entry.read_text())["value"]
+        assert value == {str(p): c for p, c in report["prime_counts"].items()}
+        assert len(value) == window_size(5) == 9
 
 
 def test_ff_accepts_precomputed_counts(monkeypatch):
