@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .geometry import GeometryError, Point, parse_rational, point
 
@@ -95,6 +96,33 @@ def lattice_points(board: Board, n: int) -> tuple[tuple[int, int], ...]:
         for y in range(y_lo, y_hi + 1)
         if all(e * y - f * x + g > 0 for e, f, g in edges)
     )
+
+
+def board_sweep(board: Board, orders: Iterable[int]
+                ) -> Iterator[tuple[int, tuple[tuple[int, int], ...], int]]:
+    """(n, cells, start) for each order n of `orders`: the cells of board n
+    in arrival order, and the index of the first cell new at n.
+
+    When every cell of the previous order lies on board n, those cells come
+    first, in their old order, and the cells new at n follow in
+    lexicographic order; otherwise the sweep restarts with the cells of
+    board n alone, in lexicographic order, and start = 0.  So every set of
+    cells whose highest-numbered cell is below `start` is a set of the
+    previous order's board.  A board whose closed polygon B holds the
+    origin never restarts on consecutive orders: (n+1)B = (n+1)B + 0 lies
+    inside (n+1)B + B, which is (n+2)B because B is convex, and so the
+    interior of the one lies inside that of the other.  Both named boards
+    are such boards.
+    """
+    cells: tuple[tuple[int, int], ...] = ()
+    for n in orders:
+        fresh = lattice_points(board, n)
+        if set(fresh).issuperset(cells):
+            start, old = len(cells), set(cells)
+            cells += tuple(c for c in fresh if c not in old)
+        else:
+            start, cells = 0, fresh
+        yield n, cells, start
 
 
 def parse_board(text: str) -> Board:

@@ -20,9 +20,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .boards import Board, lattice_points
+from .boards import (
+    Board,
+    board_sweep,
+    lattice_points,  # not called here; bench/run.py traces it in this module
+)
 from .geometry import (
     GeometryError,
     MoveSet,
@@ -33,6 +37,7 @@ from .geometry import (
     arrangement,
     configuration_arrangement,
     intersect,
+    line_coefficients,
     move_lines,
     parse_moves,
     region_masks,
@@ -40,8 +45,9 @@ from .geometry import (
     region_sample_points,  # not called here; bench/run.py traces it in this module
     sign_vector,
     steiner_count,
+    unoriented,
 )
-from .placement import count_sets, line_masks, nonattacking_sets
+from .placement import grow_line_masks, nonattacking_sets, pair_count
 from .signature import (
     AttackError,
     Config,
@@ -90,20 +96,50 @@ class StabilizationReport:
 
 # -- grid engine -------------------------------------------------------------
 
-def count_nonattacking(ms: MoveSet, board: Board, n: int, q: int) -> int:
-    """Exact number of labelled nonattacking placements on the order-n board.
+# Both board engines run on `boards.board_sweep`: at order n they meet only the
+# placement sets whose highest-numbered cell is new at n.  Every other set is a
+# set of the previous order's board, met there, so a sweep over many orders
+# costs about one run at its largest order.  A restart (start = 0) meets every
+# set of the board again.  The numbering of the cells changes no result, as
+# each set is built from its highest cell down whatever the numbering.
+
+def count_sweep(ms: MoveSet, board: Board, q: int, orders: Iterable[int]
+                ) -> Iterator[tuple[int, int]]:
+    """(n, labelled count) for each order n of `orders`: the exact number of
+    labelled nonattacking placements of q pieces on the order-n board.
 
     Counts the nonattacking q-sets of cells with the bitmask core of
     `placement` (the last two pieces in closed form) and multiplies by q!.
+    The line masks grow by each order's new cells; an old cell keeps its
+    star, since the enumerator reads only the bits below a cell, which are
+    all old.  q = 2 is `pair_count` of the whole board; from q = 3 on, the
+    count adds the sets whose highest cell is new to the previous order's.
     """
     if q < 1:
         raise GeometryError("need q >= 1")
-    cells = lattice_points(board, n)
-    if q == 1:
-        return len(cells)
-    lines, stars = line_masks(ms, cells)
-    sets = count_sets((1 << len(cells)) - 1, q, lines, ms.r, stars.__getitem__)
-    return sets * math.factorial(q)
+    for n, cells, start in board_sweep(board, orders):
+        if start == 0:
+            groups: list[dict[int, int]] = [{} for _ in ms.moves]
+            stars: list[int] = []
+            sets = 0
+        if q == 1:
+            yield n, len(cells)
+            continue
+        lines = grow_line_masks(ms, cells, start, groups, stars)
+        everything = (1 << len(cells)) - 1
+        if q == 2:
+            sets = pair_count(everything, lines, ms.r) // 2
+        else:
+            new = everything ^ ((1 << start) - 1)
+            sets += sum(pair_count(rest, lines, ms.r) for _cells, rest
+                        in nonattacking_sets(everything, q - 2, stars.__getitem__, new)) // 2
+        yield n, sets * math.factorial(q)
+
+
+def count_nonattacking(ms: MoveSet, board: Board, n: int, q: int) -> int:
+    """Exact number of labelled nonattacking placements on the order-n
+    board: the one-order `count_sweep`."""
+    return next(count_sweep(ms, board, q, [n]))[1]
 
 
 def _keys_to_types(keys: Iterable[tuple[int, ...]], q: int, r: int) -> frozenset[LabelledType]:
@@ -113,9 +149,10 @@ def _keys_to_types(keys: Iterable[tuple[int, ...]], q: int, r: int) -> frozenset
                      for least in {least_relabelling(q, key) for key in keys})
 
 
-def _cone_masks(ms: MoveSet, cells: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """`cones[v][g - 1]`: the cells below cell v strictly inside the open
-    cone g around v.
+def _cone_masks(ms: MoveSet, cells: Sequence[tuple[int, int]], start: int
+                ) -> list[list[int]]:
+    """`cones[v - start][g - 1]` for each cell v from `start` on: the cells
+    below cell v strictly inside the open cone g around v.
 
     Each move keys the cells by the keys of `line_masks`, d*x - c*y for the
     move (c, d).  A cell w has key(w) = key(v) - cross(move, w - v), so the
@@ -124,7 +161,7 @@ def _cone_masks(ms: MoveSet, cells: Sequence[tuple[int, int]]) -> list[list[int]
     half-planes its `cone_patterns` side mask names (bit j - 1 set: larger keys).
     """
     everything = (1 << len(cells)) - 1
-    halves = []  # per move, per cell: (smaller-key cells, larger-key cells)
+    halves = []  # per move, per cell from `start`: (smaller-key cells, larger-key cells)
     for m in ms.moves:
         keys = [m.d * x - m.c * y for x, y in cells]
         groups: dict[int, int] = {}
@@ -135,11 +172,12 @@ def _cone_masks(ms: MoveSet, cells: Sequence[tuple[int, int]]) -> list[list[int]
         for k in sorted(groups):
             split[k] = (seen, everything ^ seen ^ groups[k])
             seen |= groups[k]
-        halves.append([split[k] for k in keys])
+        halves.append([split[k] for k in keys[start:]])
     cones = []
-    for v in range(len(cells)):
+    for v in range(start, len(cells)):
         below = (1 << v) - 1
-        sides = [(left & below, right & below) for left, right in (h[v] for h in halves)]
+        sides = [(left & below, right & below)
+                 for left, right in (h[v - start] for h in halves)]
         own = []
         for pattern in cone_patterns(ms):
             mask = below
@@ -150,8 +188,11 @@ def _cone_masks(ms: MoveSet, cells: Sequence[tuple[int, int]]) -> list[list[int]
     return cones
 
 
-def grid_census(ms: MoveSet, board: Board, n: int, q: int) -> Census:
-    """Types realized on the order-n lattice board (a lower bound for fixed n).
+def grid_sweep(ms: MoveSet, board: Board, q: int, orders: Iterable[int]
+               ) -> Iterator[tuple[int, int, frozenset[LabelledType]]]:
+    """(n, cells, types) for each order n of `orders`: the number of cells
+    of the order-n lattice board and the types realized on it (a lower
+    bound for fixed n).
 
     Runs on the cone bitmasks of `_cone_masks` alone.  Below cell v, the
     cells v does not attack are exactly the union of its 2r cones, so the
@@ -169,29 +210,52 @@ def grid_census(ms: MoveSet, board: Board, n: int, q: int) -> Census:
     a set that no last piece extends.)  The masks hold r*N*(N - 1) bits for
     N cells and their unions N*(N - 1)/2 more, which `boards.MAX_CELLS`
     bounds.  q = 1 builds no masks.
+
+    Across orders, an old cell keeps its masks and their union, which hold
+    only lower cells, all old; each new cell gets its masks against every
+    lower cell.  The chosen sets run over those whose highest cell is new,
+    and only cone tuples not met before are turned into least keys.
     """
     if q < 1:
         raise GeometryError("need q >= 1")
-    cells = lattice_points(board, n)
-    everything = (1 << len(cells)) - 1
-    cones = _cone_masks(ms, cells) if q > 1 else []
-    free = [sum(own) for own in cones]  # the open cones are disjoint
-    found: set[tuple[int, ...]] = set()
-    # the star of v is every cell outside its cones: below v, those it attacks
-    for chosen, rest in nonattacking_sets(everything, q - 1, lambda v: everything ^ free[v]):
-        if not rest:
-            continue
-        frontier = [(rest, tuple(
-            next(g for g, mask in enumerate(cones[chosen[i]], 1) if mask >> chosen[k] & 1)
-            for k in range(len(chosen)) for i in range(k)
-        ))]
-        for v in chosen:
-            frontier = [(meet, gs + (g,)) for avail, gs in frontier
-                        for g, mask in enumerate(cones[v], 1) if (meet := avail & mask)]
-        found.update(gs for _avail, gs in frontier)
-    keys = (key_from_cones(q, ms.r, gs) for gs in found)
-    return Census(ms, q, "grid", _keys_to_types(keys, q, ms.r), False,
-                  {"n": n, "cells": len(cells)})
+    r = ms.r
+    for n, cells, start in board_sweep(board, orders):
+        if start == 0:
+            cones: list[list[int]] = []
+            free: list[int] = []  # the open cones are disjoint
+            found: set[tuple[int, ...]] = set()
+            types: dict[tuple[int, ...], LabelledType] = {}  # by least key
+        everything = (1 << len(cells)) - 1
+        if q > 1:
+            grown = _cone_masks(ms, cells, start)
+            cones += grown
+            free += (sum(own) for own in grown)
+        met = set()
+        # the star of v is every cell outside its cones: below v, those it attacks
+        for chosen, rest in nonattacking_sets(everything, q - 1, lambda v: everything ^ free[v],
+                                              everything ^ ((1 << start) - 1)):
+            if not rest:
+                continue
+            frontier = [(rest, tuple(
+                next(g for g, mask in enumerate(cones[chosen[i]], 1) if mask >> chosen[k] & 1)
+                for k in range(len(chosen)) for i in range(k)
+            ))]
+            for v in chosen:
+                frontier = [(meet, gs + (g,)) for avail, gs in frontier
+                            for g, mask in enumerate(cones[v], 1) if (meet := avail & mask)]
+            met.update(gs for _avail, gs in frontier)
+        met -= found
+        found |= met
+        for least in {least_relabelling(q, key_from_cones(q, r, gs)) for gs in met}:
+            types.setdefault(least, LabelledType(q, r, least))
+        yield n, len(cells), frozenset(types.values())
+
+
+def grid_census(ms: MoveSet, board: Board, n: int, q: int) -> Census:
+    """Types realized on the order-n lattice board (a lower bound for fixed
+    n): the one-order `grid_sweep`."""
+    n, cells, types = next(grid_sweep(ms, board, q, [n]))
+    return Census(ms, q, "grid", types, False, {"n": n, "cells": cells})
 
 
 def stabilized_census(
@@ -203,7 +267,8 @@ def stabilized_census(
     window: int = 2,
     confirm_size: int | None = None,
 ) -> tuple[Census, StabilizationReport]:
-    """Grid censuses for growing n until the type set holds still.
+    """Grid censuses for growing n, one `grid_sweep`, until the type set
+    holds still.
 
     Stops once the census is unchanged for `window` consecutive increments.
     The result is exact only when `confirm_size` (from an independent engine
@@ -215,29 +280,27 @@ def stabilized_census(
         raise GeometryError("need n_start <= n_max and window >= 1")
     sizes = []
     prev_types: frozenset[LabelledType] | None = None
-    census = None
     held = 0
     stabilized_at = None
-    for n in range(n_start, n_max + 1):
-        census = grid_census(ms, board, n, q)
-        sizes.append((n, census.size))
+    for n, _cells, types in grid_sweep(ms, board, q, range(n_start, n_max + 1)):
+        sizes.append((n, len(types)))
         # an empty census never counts as stable: the pieces simply do not fit yet
-        if census.size > 0 and prev_types is not None and census.types == prev_types:
+        if types and prev_types is not None and types == prev_types:
             held += 1
             if held >= window:
                 stabilized_at = n - window
                 break
         else:
             held = 0
-        prev_types = census.types
+        prev_types = types
     report = StabilizationReport(tuple(sizes), stabilized_at, window)
     exact = (
         stabilized_at is not None
         and confirm_size is not None
-        and census.size == confirm_size
+        and len(types) == confirm_size
     )
     final = Census(
-        ms, q, "grid", census.types, exact,
+        ms, q, "grid", types, exact,
         {"n": sizes[-1][0], "stabilized_at": stabilized_at, "window": window,
          "stable": stabilized_at is not None},
     )
@@ -265,8 +328,11 @@ def geometric_census(ms: MoveSet, q: int, refinement: int = 1) -> Census:
     its side mask, which `cone_of_mask` turns into the cone of the pair
     (i, new).  Each new piece appends its cones to a tuple, so a complete
     placement holds the cones of the pairs i < k in placement order, which
-    `key_from_cones` turns into the key.  A `Point` is built only for a
-    sample that places a further piece.
+    `key_from_cones` turns into the key.  The arrangement goes down the
+    recursion as its lines' integer coefficient triples: each placement
+    builds only its new piece's r triples, in integers, and no `Point`.
+    The duplicate-line check that `configuration_arrangement` makes runs on
+    the carried unoriented keys.
     No attack check is needed: the slab sweep of `region_masks` puts every
     sample strictly between two consecutive lines at an abscissa where no
     lines cross and no vertical line runs, so the new piece is on no move
@@ -283,16 +349,27 @@ def geometric_census(ms: MoveSet, q: int, refinement: int = 1) -> Census:
     types: set[LabelledType] = set()
     keys = {()} if q == 1 else set()  # labelled, not yet in `types`
 
-    def place(cfg: tuple[Point, ...], cones: tuple[int, ...]) -> int:
-        # the placements completed from `cfg`, depth first; keys go to `types`
-        # in batches of 2^12, so memory does not grow with the placements
+    def pencil(xa: int, xb: int, ya: int, yb: int) -> tuple[tuple[int, int, int], ...]:
+        # the move lines of the piece at (xa/xb, ya/yb), with no Fraction built
+        return tuple(line_coefficients(m, xa, xb, ya, yb) for m in ms.moves)
+
+    def place(coeffs: tuple[tuple[int, int, int], ...], held: frozenset,
+              cones: tuple[int, ...]) -> int:
+        # the placements completed from the pieces whose move lines are
+        # `coeffs`, in placement order, depth first; `held` holds their
+        # unoriented keys.  Keys go to `types` in batches of 2^12, so memory
+        # does not grow with the placements.
         placed = 0
-        arr = configuration_arrangement(ms, cfg)
-        for mask, pts in region_masks(arr, refinement).items():
-            grown = cones + tuple(cone_of[mask >> j & low] for j in range(0, arr.k, r))
-            if len(cfg) + 1 < q:
-                placed += sum(place(cfg + (Point(Fraction(xa, xb), Fraction(y, den)),), grown)
-                              for xa, xb, y, den in pts)
+        for mask, pts in region_masks(coeffs, refinement).items():
+            grown = cones + tuple(cone_of[mask >> j & low] for j in range(0, len(coeffs), r))
+            if len(coeffs) + r < q * r:
+                for xa, xb, y, den in pts:
+                    new = pencil(xa, xb, y, den)
+                    undirected = frozenset(map(unoriented, new))
+                    if not held.isdisjoint(undirected):
+                        raise GeometryError(f"duplicate line: the piece at {xa}/{xb},{y}/{den} "
+                                            "is on a move line of an earlier piece")
+                    placed += place(coeffs + new, held | undirected, grown)
             else:
                 keys.add(key_from_cones(q, r, grown))
                 placed += len(pts)
@@ -301,7 +378,8 @@ def geometric_census(ms: MoveSet, q: int, refinement: int = 1) -> Census:
             keys.clear()
         return placed
 
-    placements = place((ORIGIN,), ()) if q > 1 else 1
+    origin = pencil(0, 1, 0, 1)
+    placements = place(origin, frozenset(map(unoriented, origin)), ()) if q > 1 else 1
     return Census(
         ms, q, "geometric", _keys_to_types(keys, q, r) | types, q <= GEOMETRIC_EXACT_MAX_Q,
         {"refinement": refinement, "placements": placements},

@@ -26,7 +26,8 @@ from .census import (
     census_fields,
     census_from_dict,
     census_to_dict,
-    count_nonattacking,
+    count_nonattacking,  # unused here; bench/run.py traces cli.count_nonattacking
+    count_sweep,
     fours_witness,
     geometric_census,
     grid_census,
@@ -284,8 +285,7 @@ def cmd_count(args) -> int:
     if args.bfile and bfile_text is None:
         return EXIT_USAGE
     rows = []
-    for n in orders:
-        labelled = count_nonattacking(ms, board, n, args.q)
+    for n, labelled in count_sweep(ms, board, args.q, orders):
         unlabelled = labelled // math.factorial(args.q)
         rows.append({"n": n, "labelled": labelled, "unlabelled": unlabelled})
         _log(f"n={n}: {labelled} labelled / {unlabelled} unlabelled")

@@ -142,27 +142,41 @@ class OrientedLine:
     anchor: Point
     direction: BasicMove
 
-    def unoriented_key(self):
-        """Canonical key identifying the underlying unoriented line.
-
-        The direction is flipped to the canonical half (c > 0, or c == 0 and
-        d > 0) and combined with the line offset cross(direction, anchor).
-        """
-        c, d = self.direction.c, self.direction.d
-        if c < 0 or (c == 0 and d < 0):
-            c, d = -c, -d
-        return (c, d, d * self.anchor.x - c * self.anchor.y)
+    def unoriented_key(self) -> tuple[int, int, int]:
+        """Canonical key identifying the underlying unoriented line: its
+        `int_coefficients` up to sign (`unoriented`)."""
+        return unoriented(self.int_coefficients())
 
     def int_coefficients(self) -> tuple[int, int, int]:
-        """Integer (A, B, C) with the line equal to {A*x + B*y == C}.
+        """Integer (A, B, C) with the line equal to {A*x + B*y == C}: the
+        `line_coefficients` of its direction through its anchor."""
+        x, y = self.anchor.x, self.anchor.y
+        return line_coefficients(self.direction, x.numerator, x.denominator,
+                                 y.numerator, y.denominator)
 
-        Chosen so that cross(direction, p - anchor) and -(A*px + B*py - C)
-        have the same sign, i.e. A*px + B*py - C < 0 on the Left side.
-        """
-        c, d = self.direction.c, self.direction.d
-        off = d * self.anchor.x - c * self.anchor.y
-        den = off.denominator
-        return (d * den, -c * den, off.numerator)
+
+def line_coefficients(move: BasicMove, xa: int, xb: int, ya: int, yb: int
+                      ) -> tuple[int, int, int]:
+    """Integer (A, B, C) with the line of `move` through (xa/xb, ya/yb),
+    xb, yb > 0, equal to {A*x + B*y == C}, in integers alone.
+
+    With the offset cross(move, anchor) = d*x - c*y in lowest terms num/den
+    (den > 0), the triple is (d*den, -c*den, num).  It is chosen so that
+    cross(move, p - anchor) and -(A*px + B*py - C) have the same sign, i.e.
+    A*px + B*py - C < 0 on the Left side, and it is primitive, as the move
+    is and the offset is in lowest terms.
+    """
+    num, den = move.d * xa * yb - move.c * ya * xb, xb * yb
+    g = gcd(num, den)
+    return (move.d * den // g, -move.c * den // g, num // g)
+
+
+def unoriented(coefficients: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The key of the unoriented line of a primitive triple (A, B, C): the
+    larger of it and its negative, which is the same line oppositely
+    oriented."""
+    a, b, c = coefficients
+    return max(coefficients, (-a, -b, -c))
 
 
 def side_of(line: OrientedLine, p: Point) -> Side:
@@ -287,11 +301,13 @@ _SPLITS = [
 ]
 
 
-def region_masks(arr: LineArrangement, samples: int = 1) -> dict[int, list[tuple[int, ...]]]:
+def region_masks(coeffs: Sequence[tuple[int, int, int]], samples: int = 1
+                 ) -> dict[int, list[tuple[int, ...]]]:
     """Interior sample points grouped by region, in integers: the core of
-    `region_sample_points`.  A region is keyed by the mask of the lines its
-    points are Right of (bit n for line n), and a point (X, x_den, Y, y_den)
-    is (X / x_den, Y / y_den).
+    `region_sample_points`, for the arrangement of the lines A*x + B*y = C
+    given by their `OrientedLine.int_coefficients` (A, B, C).  A region is
+    keyed by the mask of the lines its points are Right of (bit n for line
+    n), and a point (X, x_den, Y, y_den) is (X / x_den, Y / y_den).
 
     Slab sweep: sample abscissas lie strictly between consecutive
     x-breakpoints (crossings and vertical lines, `_x_breakpoints`) and
@@ -312,7 +328,6 @@ def region_masks(arr: LineArrangement, samples: int = 1) -> dict[int, list[tuple
     """
     if samples < 1:
         raise GeometryError("samples must be >= 1")
-    coeffs = [ln.int_coefficients() for ln in arr.lines]
     common, breaks = _x_breakpoints(coeffs)
     # at x = a/b the line A*x + B*y = C has ordinate (C*b - A*a) / (b*B),
     # an integer over b * lcm|B|
@@ -361,7 +376,8 @@ def region_sample_points(arr: LineArrangement, samples: int = 1) -> dict[tuple, 
     return {
         tuple(sides[mask >> n & 1] for n in range(arr.k)):
             [Point(Fraction(xa, xb), Fraction(y, den)) for xa, xb, y, den in pts]
-        for mask, pts in region_masks(arr, samples).items()
+        for mask, pts in region_masks([ln.int_coefficients() for ln in arr.lines],
+                                      samples).items()
     }
 
 

@@ -23,17 +23,28 @@ def line_masks(ms: MoveSet, cells: Sequence[tuple[int, int]]
     so that the lines of each move partition the cells.  `stars[i]` is the
     star of cell i.
     """
-    lines: list[int] = []
-    stars = [0] * len(cells)
-    for m in ms.moves:
-        keys = [m.d * x - m.c * y for x, y in cells]
-        groups: dict[int, int] = {}
-        for i, k in enumerate(keys):
-            groups[k] = groups.get(k, 0) | (1 << i)
-        lines.extend(groups.values())
-        for i, k in enumerate(keys):
-            stars[i] |= groups[k]
-    return lines, stars
+    stars: list[int] = []
+    return grow_line_masks(ms, cells, 0, [{} for _ in ms.moves], stars), stars
+
+
+def grow_line_masks(ms: MoveSet, cells: Sequence[tuple[int, int]], start: int,
+                    groups: list[dict[int, int]], stars: list[int]) -> list[int]:
+    """The lines of `line_masks` for `cells`, after putting the cells from
+    `start` on: `groups[j]`, the masks of move j's lines by key, holds the
+    cells below `start`, and `stars` their stars.  Both grow in place.  The
+    stars of the cells below `start` are left without the new cells, which
+    lie above them, where `nonattacking_sets` reads no star.
+    """
+    keyed = [[m.d * x - m.c * y for x, y in cells[start:]] for m in ms.moves]
+    for own, keys in zip(groups, keyed):
+        for i, k in enumerate(keys, start):
+            own[k] = own.get(k, 0) | (1 << i)
+    for i in range(len(cells) - start):
+        star = 0
+        for own, keys in zip(groups, keyed):
+            star |= own[keys[i]]
+        stars.append(star)
+    return [line for own in groups for line in own.values()]
 
 
 def torus_line_masks(ms: MoveSet, p: int) -> tuple[list[int], Callable[[int], int]]:
@@ -98,27 +109,32 @@ def pair_count(avail: int, lines: Sequence[int], r: int) -> int:
     return n * n - squares + (r - 1) * n
 
 
-def nonattacking_sets(avail: int, size: int, star: Callable[[int], int]
-                      ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(cells, rest) for each nonattacking `size`-element subset of `avail`,
-    for a rider whose cell i has star `star(i)`.
+def nonattacking_sets(avail: int, size: int, star: Callable[[int], int],
+                      tops: int = -1) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(cells, rest) for each nonattacking `size`-element subset of `avail`
+    whose highest cell is in `tops` (default: any cell), for a rider whose
+    cell i has star `star(i)`.
 
     Each set is built once, from its highest cell down, so `cells` is
     decreasing: after choosing a cell, only lower cells stay available,
-    which also keeps the masks short.  `rest` is the set of cells of `avail`
-    below the lowest chosen cell that attack none of the chosen ones, the
-    cells that can extend the set by one.
+    which also keeps the masks short, and only the bits of `star(i)` below
+    i are read.  `rest` is the set of cells of `avail` below the lowest
+    chosen cell that attack none of the chosen ones, the cells that can
+    extend the set by one.  The empty set has no highest cell: at size 0
+    the one set is yielded with `rest` = `avail`, whatever `tops` is.
     """
     if size == 0:
         yield (), avail
         return
-    while avail:
-        i = avail.bit_length() - 1
-        avail ^= 1 << i
+    heads = avail & tops
+    while heads:
+        i = heads.bit_length() - 1
+        heads ^= 1 << i
+        below = avail & ~star(i) & ((1 << i) - 1)
         if size == 1:
-            yield (i,), avail & ~star(i)
+            yield (i,), below
         else:
-            for cells, rest in nonattacking_sets(avail & ~star(i), size - 1, star):
+            for cells, rest in nonattacking_sets(below, size - 1, star):
                 yield (i, *cells), rest
 
 

@@ -674,6 +674,23 @@ def test_count_two_queens_n3(capsys):
     assert row["unlabelled"] == brute_queen_pairs_unlabelled(3)
 
 
+def test_count_range_rows_are_the_single_order_counts(capsys):
+    # one sweep over the range against a fresh count at each order, on a
+    # nested board and on one that restarts at every order
+    for board, moves, q, lo, hi in (("triangle", "queen", 3, 2, 9),
+                                    ("poly:1,1;3,1;2,3", "nightrider", 3, 1, 5),
+                                    ("square", "semiqueen", 4, 3, 6)):
+        common = ("count", f"--moves={moves}", "--q", str(q), "--board", board)
+        code, out, _ = run_cli(capsys, *common, "--n-range", f"{lo}:{hi}")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row["n"] for row in rows] == list(range(lo, hi + 1))
+        for row in rows:
+            code, out, _ = run_cli(capsys, *common, "--n", str(row["n"]))
+            assert code == 0
+            assert json.loads(out)["rows"] == [row], (board, row)
+
+
 def test_count_requires_order(capsys):
     code, _, err = run_cli(capsys, "count", "--moves", "queen", "--q", "1")
     assert code == 2

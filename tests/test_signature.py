@@ -15,7 +15,7 @@ from oracles import cone_of
 
 from ridertypes.cli import PIECES, family_movesets
 from ridertypes.geometry import (
-    ORIGIN, GeometryError, MoveSet, Point, arrangement, move_lines, parse_moves, point,
+    ORIGIN, GeometryError, MoveSet, Point, move_lines, parse_moves, point,
     region_masks,
 )
 from ridertypes.signature import (
@@ -137,7 +137,7 @@ def test_cone_patterns_are_the_region_masks_around_a_piece():
     # geometry's sweep and signature's cone table agree on the regions of one
     # piece's move lines, on their masks, and on the cone of each region
     for ms in MOVESETS:
-        found = region_masks(arrangement(move_lines(ms, ORIGIN)))
+        found = region_masks([ln.int_coefficients() for ln in move_lines(ms, ORIGIN)])
         assert set(found) == set(cone_patterns(ms)), str(ms)
         for mask, pts in found.items():
             for xa, xb, y, den in pts:
