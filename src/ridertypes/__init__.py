@@ -3,14 +3,12 @@
 from .geometry import (
     BasicMove,
     GeometryError,
-    INFINITY,
     MoveSet,
     Point,
     Side,
     parse_moves,
     parse_point,
     point,
-    slope_of,
 )
 from .boards import Board, SQUARE, TRIANGLE, lattice_points, parse_board
 from .signature import (
@@ -48,7 +46,6 @@ __all__ = [
     "Census",
     "Config",
     "GeometryError",
-    "INFINITY",
     "LabelledType",
     "MoveSet",
     "Point",
@@ -76,7 +73,6 @@ __all__ = [
     "parse_point",
     "point",
     "random_census",
-    "slope_of",
     "stabilized_census",
     "t3_closed_form",
     "torus_count",

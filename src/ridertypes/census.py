@@ -47,7 +47,7 @@ from .geometry import (
     steiner_count,
     unoriented,
 )
-from .placement import grow_line_masks, nonattacking_sets, pair_count
+from .placement import count_sets, grow_line_masks, nonattacking_sets
 from .signature import (
     AttackError,
     Config,
@@ -108,12 +108,12 @@ def count_sweep(ms: MoveSet, board: Board, q: int, orders: Iterable[int]
     """(n, labelled count) for each order n of `orders`: the exact number of
     labelled nonattacking placements of q pieces on the order-n board.
 
-    Counts the nonattacking q-sets of cells with the bitmask core of
-    `placement` (the last two pieces in closed form) and multiplies by q!.
-    The line masks grow by each order's new cells; an old cell keeps its
-    star, since the enumerator reads only the bits below a cell, which are
-    all old.  q = 2 is `pair_count` of the whole board; from q = 3 on, the
-    count adds the sets whose highest cell is new to the previous order's.
+    Counts the nonattacking q-sets of cells with `placement.count_sets`
+    and multiplies by q!.  The line masks grow by each order's new cells; an
+    old cell keeps its star, since the enumerator reads only the bits below
+    a cell, which are all old.  q <= 2 counts in closed form on the whole
+    board; from q = 3 on, the count adds the sets whose highest cell is new
+    to the previous order's.
     """
     if q < 1:
         raise GeometryError("need q >= 1")
@@ -122,17 +122,11 @@ def count_sweep(ms: MoveSet, board: Board, q: int, orders: Iterable[int]
             groups: list[dict[int, int]] = [{} for _ in ms.moves]
             stars: list[int] = []
             sets = 0
-        if q == 1:
-            yield n, len(cells)
-            continue
         lines = grow_line_masks(ms, cells, start, groups, stars)
         everything = (1 << len(cells)) - 1
-        if q == 2:
-            sets = pair_count(everything, lines, ms.r) // 2
-        else:
-            new = everything ^ ((1 << start) - 1)
-            sets += sum(pair_count(rest, lines, ms.r) for _cells, rest
-                        in nonattacking_sets(everything, q - 2, stars.__getitem__, new)) // 2
+        found = count_sets(everything, q, lines, ms.r, stars.__getitem__,
+                           everything ^ ((1 << start) - 1))
+        sets = found if q <= 2 else sets + found
         yield n, sets * math.factorial(q)
 
 
@@ -149,30 +143,27 @@ def _keys_to_types(keys: Iterable[tuple[int, ...]], q: int, r: int) -> frozenset
                      for least in {least_relabelling(q, key) for key in keys})
 
 
-def _cone_masks(ms: MoveSet, cells: Sequence[tuple[int, int]], start: int
-                ) -> list[list[int]]:
+def _cone_masks(ms: MoveSet, cells: Sequence[tuple[int, int]], start: int,
+                groups: Sequence[dict[int, int]]) -> list[list[int]]:
     """`cones[v - start][g - 1]` for each cell v from `start` on: the cells
     below cell v strictly inside the open cone g around v.
 
-    Each move keys the cells by the keys of `line_masks`, d*x - c*y for the
-    move (c, d).  A cell w has key(w) = key(v) - cross(move, w - v), so the
-    cells of smaller key than v lie strictly left of v's line of that move
-    and those of larger key strictly right of it.  Cone g is the AND of the
-    half-planes its `cone_patterns` side mask names (bit j - 1 set: larger keys).
+    `groups[j]` holds the line masks of move j by key, as `grow_line_masks`
+    builds them: d*x - c*y for the move (c, d).  A cell w has key(w) =
+    key(v) - cross(move, w - v), so the cells of smaller key than v lie
+    strictly left of v's line of that move and those of larger key strictly
+    right of it.  Cone g is the AND of the half-planes its `cone_patterns`
+    side mask names (bit j - 1 set: larger keys).
     """
     everything = (1 << len(cells)) - 1
     halves = []  # per move, per cell from `start`: (smaller-key cells, larger-key cells)
-    for m in ms.moves:
-        keys = [m.d * x - m.c * y for x, y in cells]
-        groups: dict[int, int] = {}
-        for i, k in enumerate(keys):
-            groups[k] = groups.get(k, 0) | (1 << i)
+    for m, own in zip(ms.moves, groups):
         # one pair per line, shared by its cells: a pair per cell would be N^2 bits
         split, seen = {}, 0
-        for k in sorted(groups):
-            split[k] = (seen, everything ^ seen ^ groups[k])
-            seen |= groups[k]
-        halves.append([split[k] for k in keys[start:]])
+        for k in sorted(own):
+            split[k] = (seen, everything ^ seen ^ own[k])
+            seen |= own[k]
+        halves.append([split[m.d * x - m.c * y] for x, y in cells[start:]])
     cones = []
     for v in range(start, len(cells)):
         below = (1 << v) - 1
@@ -194,10 +185,9 @@ def grid_sweep(ms: MoveSet, board: Board, q: int, orders: Iterable[int]
     of the order-n lattice board and the types realized on it (a lower
     bound for fixed n).
 
-    Runs on the cone bitmasks of `_cone_masks` alone.  Below cell v, the
-    cells v does not attack are exactly the union of its 2r cones, so the
-    star that `placement.nonattacking_sets` needs is read off them: pieces
-    1..q-1 run over its nonattacking sets, highest cell first, and the last
+    Runs on the line masks of `grow_line_masks` and the cone bitmasks that
+    `_cone_masks` reads off them.  Pieces 1..q-1 run over the nonattacking
+    sets of `placement.nonattacking_sets`, highest cell first, and the last
     piece over each set's `rest`.  The last piece lies in cone g_i around
     chosen piece i exactly when it is in `cones[chosen[i]][g_i - 1]`, so the
     keys one chosen set yields are exactly the cone tuples (g_1, ..., g_{q-1})
@@ -208,31 +198,31 @@ def grid_sweep(ms: MoveSet, board: Board, q: int, orders: Iterable[int]
     into the key.  (The AND of the cones alone lies inside `rest`, since each
     mask holds only lower cells off its piece's lines; `rest` serves to skip
     a set that no last piece extends.)  The masks hold r*N*(N - 1) bits for
-    N cells and their unions N*(N - 1)/2 more, which `boards.MAX_CELLS`
-    bounds.  q = 1 builds no masks.
+    N cells and the stars N^2 more, which `boards.MAX_CELLS` bounds.  q = 1
+    builds no masks.
 
-    Across orders, an old cell keeps its masks and their union, which hold
-    only lower cells, all old; each new cell gets its masks against every
-    lower cell.  The chosen sets run over those whose highest cell is new,
-    and only cone tuples not met before are turned into least keys.
+    Across orders, an old cell keeps its masks and its star, which are read
+    only below the cell, where every cell is old; each new cell gets its
+    masks against every lower cell.  The chosen sets run over those whose
+    highest cell is new, and only cone tuples not met before are turned
+    into least keys.
     """
     if q < 1:
         raise GeometryError("need q >= 1")
     r = ms.r
     for n, cells, start in board_sweep(board, orders):
         if start == 0:
+            groups: list[dict[int, int]] = [{} for _ in ms.moves]
+            stars: list[int] = []
             cones: list[list[int]] = []
-            free: list[int] = []  # the open cones are disjoint
             found: set[tuple[int, ...]] = set()
-            types: dict[tuple[int, ...], LabelledType] = {}  # by least key
+            types: frozenset[LabelledType] = frozenset()
         everything = (1 << len(cells)) - 1
         if q > 1:
-            grown = _cone_masks(ms, cells, start)
-            cones += grown
-            free += (sum(own) for own in grown)
+            grow_line_masks(ms, cells, start, groups, stars)
+            cones += _cone_masks(ms, cells, start, groups)
         met = set()
-        # the star of v is every cell outside its cones: below v, those it attacks
-        for chosen, rest in nonattacking_sets(everything, q - 1, lambda v: everything ^ free[v],
+        for chosen, rest in nonattacking_sets(everything, q - 1, stars.__getitem__,
                                               everything ^ ((1 << start) - 1)):
             if not rest:
                 continue
@@ -246,9 +236,8 @@ def grid_sweep(ms: MoveSet, board: Board, q: int, orders: Iterable[int]
             met.update(gs for _avail, gs in frontier)
         met -= found
         found |= met
-        for least in {least_relabelling(q, key_from_cones(q, r, gs)) for gs in met}:
-            types.setdefault(least, LabelledType(q, r, least))
-        yield n, len(cells), frozenset(types.values())
+        types |= _keys_to_types((key_from_cones(q, r, gs) for gs in met), q, r)
+        yield n, len(cells), types
 
 
 def grid_census(ms: MoveSet, board: Board, n: int, q: int) -> Census:

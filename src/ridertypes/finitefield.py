@@ -15,9 +15,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
-from .geometry import GeometryError, MoveSet
+from .geometry import GeometryError, MoveSet, frame_map
 from .placement import count_sets, torus_line_masks
 
 # Largest prime the engine counts over.  `torus_count` holds p line masks of
@@ -149,38 +149,30 @@ def _image(linear: tuple[int, int, int, int], cell: int, p: int) -> int:
     return _direction_cell(a * x + b * y, c * x + d * y, p)
 
 
-def _frame(u: Sequence[tuple[int, int]], p: int) -> tuple[int, int, int, int]:
-    # `geometry._frame` mod p: the map sending the directions (1, 0), (0, 1)
-    # and (1, 1) to u1, u2, u3 has columns s*u1 and t*u2, u3 = s*u1 + t*u2
-    (x1, y1), (x2, y2), (x3, y3) = u
-    inv = pow(x1 * y2 - y1 * x2, -1, p)
-    s = (x3 * y2 - y3 * x2) * inv % p
-    t = (x1 * y3 - y1 * x3) * inv % p
-    return (s * x1 % p, t * x2 % p, s * y1 % p, t * y2 % p)
-
-
 def direction_group(ms: MoveSet, p: int) -> list[tuple[int, int, int, int]]:
     """The linear maps (a, b, c, d): (x, y) -> (a*x + b*y, c*x + d*y) of
     F_p x F_p that permute the r move directions, one per projective map.
 
     A map of the projective line is fixed by the images of three points.  So
-    for each ordered triple v of move directions take F(v) * F(u)^-1, where
-    u is the first three move directions and F(u) sends (1, 0), (0, 1),
-    (1, 1) to u, and keep the maps that permute the whole set.  The triple
-    v = u gives the identity.  For r <= 2 the group is the identity alone.
+    for each ordered triple v of move directions take the `frame_map` from
+    the first three move directions u to v, reduced mod p.  It sends u to v,
+    and it is kept when it sends the other move directions to move
+    directions too: being invertible, it then permutes them.  Its
+    denominator and determinant are products of cross products of move
+    directions, which a valid prime does not divide.  The triple v = u gives
+    the identity.  For r <= 2 the group is the identity alone.
     """
     if ms.r < 3:
         return [(1, 0, 0, 1)]
-    moves = [(m.c % p, m.d % p) for m in ms.moves]
-    targets = {_direction_cell(x, y, p) for x, y in moves}
-    a, b, c, d = _frame(moves[:3], p)
-    inv = pow(a * d - b * c, -1, p)
+    moves = [(m.c, m.d) for m in ms.moves]
+    cells = [_direction_cell(x, y, p) for x, y in moves]
+    targets = set(cells)
     group = []
     for v in itertools.permutations(moves, 3):
-        e, f, g, h = _frame(v, p)
-        linear = ((e * d - f * c) * inv % p, (f * a - e * b) * inv % p,
-                  (g * d - h * c) * inv % p, (h * a - g * b) * inv % p)
-        if {_image(linear, cell, p) for cell in targets} == targets:
+        a, b, c, d, den = frame_map(moves[:3], v)
+        inv = pow(den, -1, p)
+        linear = (a * inv % p, b * inv % p, c * inv % p, d * inv % p)
+        if all(_image(linear, cell, p) in targets for cell in cells[3:]):
             group.append(linear)
     return group
 

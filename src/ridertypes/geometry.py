@@ -15,30 +15,11 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 
 class GeometryError(ValueError):
     """Invalid geometric input (zero move, duplicate line, singular map...)."""
-
-
-class _Infinity:
-    """Vertical slope marker; a single shared atom, never a fraction."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Infinity"
-
-
-INFINITY = _Infinity()
-
-Slope = Union[Fraction, _Infinity]
 
 
 class Side(enum.Enum):
@@ -72,29 +53,22 @@ class BasicMove:
         return f"{self.c},{self.d}"
 
 
-def slope_of(move: BasicMove) -> Slope:
-    """Slope d/c of a basic move, or INFINITY for vertical moves."""
-    if move.c == 0:
-        return INFINITY
-    return Fraction(move.d, move.c)
-
-
 @dataclass(frozen=True)
 class MoveSet:
-    """An ordered set of basic moves with pairwise distinct slopes."""
+    """An ordered set of basic moves, no two of them parallel."""
 
     moves: tuple[BasicMove, ...]
 
     def __post_init__(self):
         if not self.moves:
             raise GeometryError("a move set needs at least one move")
-        slopes = [slope_of(m) for m in self.moves]
-        for i in range(len(slopes)):
-            for j in range(i + 1, len(slopes)):
-                if slopes[i] == slopes[j]:
+        for i, a in enumerate(self.moves):
+            for j, b in enumerate(self.moves[i + 1:], i + 2):
+                if a.c * b.d == a.d * b.c:
                     # by position: the moves are already in lowest terms,
                     # so 2,0 would read as 1,0
-                    raise GeometryError(f"moves {i + 1} and {j + 1} share slope {slopes[i]}")
+                    slope = Fraction(a.d, a.c) if a.c else "Infinity"
+                    raise GeometryError(f"moves {i + 1} and {j} share slope {slope}")
 
     @property
     def r(self) -> int:
@@ -394,7 +368,7 @@ class LinearMap:
 
     Linear maps are the maps that carry riders: parallel move lines stay
     parallel, so nonattacking configurations and their types go along, and
-    any three slopes can be sent to any three (`slope_correspondence_map`).
+    any three directions can be sent to any three (`slope_correspondence_map`).
     A non-affine projective map sends parallel lines to concurrent ones.
     """
 
@@ -423,36 +397,39 @@ class LinearMap:
         return MoveSet(tuple(self.move(m) for m in ms.moves))
 
 
-def _slope_direction(s: Slope) -> tuple[int, int]:
-    if s is INFINITY:
-        return (0, 1)
-    return (s.denominator, s.numerator)
+def frame_map(src: Sequence[tuple[int, int]], dst: Sequence[tuple[int, int]]
+              ) -> tuple[int, int, int, int, int]:
+    """(a, b, c, d, den) with F(dst) * F(src)^-1 = (a, b; c, d) / den, in
+    integers, for two triples of integer directions, each pairwise
+    non-parallel.  F(u) sends the directions (1, 0), (0, 1), (1, 1) to
+    those of u1, u2, u3, so the map sends the direction of each src[i] to
+    that of dst[i].
+
+    F(u) has the columns s*u1 and t*u2, where u3 = s*u1 + t*u2.  By Cramer's
+    rule these are S/D and T/D for S = cross(u3, u2), T = cross(u1, u3) and
+    D = cross(u1, u2).  So F(u) = G(u) / D for the integer matrix G(u) with
+    columns S*u1 and T*u2, whose determinant is S*T*D, and
+    F(dst) * F(src)^-1 = G(dst) * adj(G(src)) / (D(dst) * S(src) * T(src)).
+    """
+    (x1, y1), (x2, y2), (x3, y3) = src
+    s, t = x3 * y2 - y3 * x2, x1 * y3 - y1 * x3
+    a, b, c, d = s * x1, t * x2, s * y1, t * y2  # G(src)
+    (x1, y1), (x2, y2), (x3, y3) = dst
+    den = (x1 * y2 - y1 * x2) * s * t
+    s, t = x3 * y2 - y3 * x2, x1 * y3 - y1 * x3
+    e, f, g, h = s * x1, t * x2, s * y1, t * y2  # G(dst)
+    return (e * d - f * c, f * a - e * b, g * d - h * c, h * a - g * b, den)
 
 
-def _frame(slopes: Sequence[Slope], side: str) -> tuple[Fraction, ...]:
-    # entries a, b, c, d of the map sending the directions (1, 0), (0, 1) and
-    # (1, 1) to those of the three slopes: its columns are s*u1 and t*u2,
-    # where u3 = s*u1 + t*u2 (Cramer's rule)
-    if len(set(slopes)) != 3:
-        raise GeometryError(f"{side} slopes must be distinct")
-    (x1, y1), (x2, y2), (x3, y3) = map(_slope_direction, slopes)
-    det = x1 * y2 - y1 * x2
-    s = Fraction(x3 * y2 - y3 * x2, det)
-    t = Fraction(x1 * y3 - y1 * x3, det)
-    return (s * x1, t * x2, s * y1, t * y2)
-
-
-def slope_correspondence_map(src: Sequence[Slope], dst: Sequence[Slope]) -> LinearMap:
-    """A linear map of the plane carrying three distinct slopes to three
-    distinct slopes, in order: F(dst) * F(src)^-1, where F(u) sends the
-    directions (1, 0), (0, 1), (1, 1) to those of u."""
-    if len(src) != 3 or len(dst) != 3:
-        raise GeometryError("slope correspondence needs exactly three slopes per side")
-    a, b, c, d = _frame(src, "source")
-    e, f, g, h = _frame(dst, "destination")
-    det = a * d - b * c
-    return LinearMap((e * d - f * c) / det, (f * a - e * b) / det,
-                     (g * d - h * c) / det, (h * a - g * b) / det)
+def slope_correspondence_map(src: Sequence[BasicMove], dst: Sequence[BasicMove]) -> LinearMap:
+    """A linear map of the plane carrying three pairwise non-parallel moves
+    to the directions of three others, in order: `frame_map` over Q."""
+    for moves in (src, dst):
+        if len(moves) != 3:
+            raise GeometryError("slope correspondence needs exactly three moves per side")
+        MoveSet(tuple(moves))  # rejects a parallel pair
+    *entries, den = frame_map([(m.c, m.d) for m in src], [(m.c, m.d) for m in dst])
+    return LinearMap(*(Fraction(v, den) for v in entries))
 
 
 # -- parsing -----------------------------------------------------------------

@@ -139,13 +139,16 @@ def nonattacking_sets(avail: int, size: int, star: Callable[[int], int],
 
 
 def count_sets(avail: int, size: int, lines: Sequence[int], r: int,
-               star: Callable[[int], int]) -> int:
+               star: Callable[[int], int], tops: int = -1) -> int:
     """Nonattacking `size`-element subsets of `avail`, for an r-move rider
     whose cell i has star `star(i)`: the first size - 2 cells come from
     `nonattacking_sets`, the last two are counted in closed form by
-    `pair_count`.
+    `pair_count`.  From size 3 on, only the subsets whose highest cell is
+    in `tops` (default: any cell) are counted, as the highest cell is one of
+    the first size - 2; the closed forms of sizes 0, 1 and 2 count every
+    subset.
     """
     if size < 2:
         return avail.bit_count() if size else 1
     return sum(pair_count(rest, lines, r)
-               for _cells, rest in nonattacking_sets(avail, size - 2, star)) // 2
+               for _cells, rest in nonattacking_sets(avail, size - 2, star, tops)) // 2

@@ -114,6 +114,24 @@ def unweighted_torus_count(ms, q: int, p: int) -> int:
     return p * p * (p - 1) * math.factorial(q - 2) * subtotal
 
 
+def brute_force_direction_group(ms, p: int) -> set[tuple[int, ...]]:
+    """Every invertible 2x2 matrix over F_p that permutes the move
+    directions, each taken as the permutation it makes of the p + 1
+    directions (0, 1), (1, 0), ..., (1, p - 1), listed in that order."""
+    def direction(x, y):
+        x, y = x % p, y % p
+        return (0, 1) if x == 0 else (1, y * pow(x, -1, p) % p)
+
+    directions = [(0, 1)] + [(1, t) for t in range(p)]
+    moves = {direction(m.c, m.d) for m in ms.moves}
+    perms = set()
+    for a, b, c, d in itertools.product(range(p), repeat=4):
+        if (a * d - b * c) % p and all(
+                direction(a * x + b * y, c * x + d * y) in moves for x, y in moves):
+            perms.add(tuple(direction(a * x + b * y, c * x + d * y) for x, y in directions))
+    return perms
+
+
 def fraction_lagrange(points: list[tuple[int, int]]) -> list[Fraction]:
     """Ascending coefficients of the polynomial through the points, by
     Lagrange's formula in `Fraction` arithmetic."""

@@ -421,21 +421,13 @@ def test_cache_entry_from_another_schema_is_a_miss(tmp_path, monkeypatch):
 def test_projective_transport_preserves_census():
     # carrying configurations through a slope-permuting linear map sends
     # nonattacking to nonattacking and distinct types to distinct types
-    from fractions import Fraction
     import random as random_mod
 
-    from ridertypes.geometry import (
-        INFINITY,
-        point,
-        slope_correspondence_map,
-    )
+    from ridertypes.geometry import point, slope_correspondence_map
     from ridertypes.signature import Config, is_nonattacking, labelled_type
 
     src_ms = FIG1  # slopes 0, 2, -2
-    lmap = slope_correspondence_map(
-        [Fraction(0), Fraction(2), Fraction(-2)],
-        [Fraction(0), Fraction(1), INFINITY],
-    )
+    lmap = slope_correspondence_map(src_ms.moves, parse_moves("1,0;1,1;0,1").moves)
     dst_ms = lmap.moveset(src_ms)
     assert geometric_census(src_ms, 3).size == geometric_census(dst_ms, 3).size == 17
 

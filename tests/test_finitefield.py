@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    brute_force_direction_group,
     fraction_lagrange,
     naive_torus_count,
     naive_uncovered,
@@ -177,6 +178,20 @@ def test_direction_group_permutes_the_move_directions():
             orbits = direction_orbits(ms, p)
             assert sum(orbits.values()) == p + 1 - ms.r, (str(ms), p)
             assert all(len(group) % size == 0 for size in orbits.values())
+
+
+def test_direction_group_is_every_matrix_permuting_the_moves():
+    # as permutations of the directions, the group is exactly the set of
+    # invertible matrices that permute the move directions; below three
+    # moves it is the identity alone (`test_direction_group_orders`)
+    for ms in (ms for ms in ORBIT_CASES if ms.r >= 3):
+        for p in (5, 7, 11, 13):
+            if not valid_prime(ms, p):
+                continue
+            directions = [(0, 1)] + [(1, t) for t in range(p)]
+            perms = {tuple(_direction(a * x + b * y, c * x + d * y, p) for x, y in directions)
+                     for a, b, c, d in direction_group(ms, p)}
+            assert perms == brute_force_direction_group(ms, p), (str(ms), p)
 
 
 def test_direction_group_orders():

@@ -4,6 +4,8 @@ volumes live in the acceptance suite."""
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,7 +20,6 @@ from oracles import (
 from ridertypes.geometry import (
     BasicMove,
     GeometryError,
-    INFINITY,
     LinearMap,
     MoveSet,
     OrientedLine,
@@ -26,6 +27,7 @@ from ridertypes.geometry import (
     Side,
     arrangement,
     configuration_arrangement,
+    frame_map,
     intersect,
     parse_moves,
     parse_point,
@@ -36,7 +38,6 @@ from ridertypes.geometry import (
     sign_vector,
     side_of,
     slope_correspondence_map,
-    slope_of,
     steiner_count,
 )
 
@@ -46,13 +47,6 @@ TRI = parse_moves("1,0;0,1;1,1")
 
 def horizontal(y=0):
     return OrientedLine(point(0, y), BasicMove(1, 0))
-
-
-def test_slope_basic():
-    assert slope_of(BasicMove(1, 0)) == 0
-    assert slope_of(BasicMove(0, 1)) is INFINITY
-    assert slope_of(BasicMove(2, 4)) == Fraction(2)
-    assert slope_of(BasicMove(2, 4)) == slope_of(BasicMove(1, 2))
 
 
 def test_zero_move_rejected():
@@ -70,6 +64,8 @@ def test_moveset_rejects_duplicate_slopes():
         MoveSet((BasicMove(1, 2), BasicMove(2, 4)))
     with pytest.raises(GeometryError, match="moves 2 and 3 share slope Infinity"):
         parse_moves("1,0;0,1;0,-3")
+    with pytest.raises(GeometryError, match="moves 1 and 3 share slope -1/2"):
+        parse_moves("2,-1;1,1;-4,2")
 
 
 def test_side_convention():
@@ -259,11 +255,7 @@ def test_identity_map_fixes_everything():
 def test_shear_shifts_slopes_by_one():
     shear = LinearMap(1, 0, 1, 1)
     for m in QUEEN.moves:
-        image = shear.move(m)
-        if m.c != 0:
-            assert slope_of(image) == slope_of(m) + 1
-        else:
-            assert slope_of(image) is INFINITY
+        assert shear.move(m) == BasicMove(m.c, m.c + m.d)
 
 
 def test_singular_linear_map_rejected():
@@ -277,33 +269,62 @@ def test_linear_map_move_is_primitive():
     assert (m.c, m.d) == (3, -2)
 
 
+def parallel(u: BasicMove, v: BasicMove) -> bool:
+    return u.c * v.d == u.d * v.c
+
+
 def test_slope_correspondence_zero_two_minustwo():
-    src = [Fraction(0), Fraction(2), Fraction(-2)]
-    dst = [Fraction(0), Fraction(1), INFINITY]
-    lmap = slope_correspondence_map(src, dst)
-    image = lmap.moveset(parse_moves("1,0;1,2;1,-2"))
-    assert [slope_of(m) for m in image.moves] == dst
-    # seeded random triples; INFINITY turns up on either side, and on both
+    src = parse_moves("1,0;1,2;1,-2")  # slopes 0, 2, -2
+    dst = parse_moves("1,0;1,1;0,1")  # slopes 0, 1, Infinity
+    lmap = slope_correspondence_map(src.moves, dst.moves)
+    image = lmap.moveset(src)
+    assert all(map(parallel, image.moves, dst.moves))
+    # seeded random triples of directions, one per slope; the vertical turns
+    # up on either side, and on both
     rng = random.Random(31415)
-    pool = [INFINITY, *sorted({Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3, 5)})]
-    where_infinity = set()
+    slopes = sorted({Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3, 5)})
+    pool = [BasicMove(0, 1), *(BasicMove(s.denominator, s.numerator) for s in slopes)]
+    where_vertical = set()
+    entries = []
     for _ in range(300):
         src, dst = rng.sample(pool, 3), rng.sample(pool, 3)
-        where_infinity.add((INFINITY in src, INFINITY in dst))
+        where_vertical.add((BasicMove(0, 1) in src, BasicMove(0, 1) in dst))
         lmap = slope_correspondence_map(src, dst)
         assert isinstance(lmap, LinearMap)
-        for s, t in zip(src, dst):
-            u = BasicMove(0, 1) if s is INFINITY else BasicMove(s.denominator, s.numerator)
-            assert slope_of(lmap.move(u)) == t
-    assert len(where_infinity) == 4
+        assert all(parallel(lmap.move(u), v) for u, v in zip(src, dst))
+        entries.append(f"{lmap.a} {lmap.b} {lmap.c} {lmap.d}\n")
+    assert len(where_vertical) == 4
+    # the entries of the maps that the same triples, taken as slopes, gave
+    # before the maps were built from directions
+    assert hashlib.sha256("".join(entries).encode()).hexdigest() == \
+        "0656cf45546d33e470c8124c836f43119650f1eb8ec33fd5dd485ca4c7cc1bdd"
+
+
+def test_frame_map_sends_each_direction_to_its_image():
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 200:
+        src, dst = ([(rng.randint(-7, 7), rng.randint(-7, 7)) for _ in range(3)]
+                    for _ in range(2))
+        if any(x * w == y * z for u in (src, dst)
+               for (x, y), (z, w) in itertools.combinations(u, 2)):
+            continue
+        a, b, c, d, den = frame_map(src, dst)
+        assert den != 0 and a * d - b * c != 0
+        # (a, b; c, d) * u is a nonzero multiple of v: cross product 0
+        for (x, y), (z, w) in zip(src, dst):
+            assert (a * x + b * y) * w == (c * x + d * y) * z
+        checked += 1
+    assert frame_map([(1, 0), (0, 1), (1, 1)], [(1, 0), (0, 1), (1, 1)])[:4] == (1, 0, 0, 1)
 
 
 def test_slope_correspondence_input_checks():
-    zero, one = Fraction(0), Fraction(1)
-    for src, dst in (([zero, one], [zero, one, INFINITY]),
-                     ([zero, one, INFINITY], [zero, one]),
-                     ([zero, one, zero], [zero, one, INFINITY]),
-                     ([zero, one, INFINITY], [INFINITY, one, INFINITY])):
+    right, up, diagonal = BasicMove(1, 0), BasicMove(0, 1), BasicMove(1, 1)
+    for src, dst in (([right, up], [right, up, diagonal]),
+                     ([right, up, diagonal], [right, up]),
+                     ([right, up, right], [right, up, diagonal]),
+                     ([right, up, diagonal], [up, right, BasicMove(0, -3)]),
+                     ([right, up, right.negated()], [right, up, diagonal])):
         with pytest.raises(GeometryError):
             slope_correspondence_map(src, dst)
 

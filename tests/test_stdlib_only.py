@@ -2,13 +2,15 @@
 absolute import names a standard-library module (or `__future__`), and no
 float enters, neither as a literal nor through `float(...)`.  Its modules
 also keep each other's private names private: no relative import names an
-`_`-prefixed name."""
+`_`-prefixed name.  Every name the package exports resolves."""
 
 from __future__ import annotations
 
 import ast
 import sys
 from pathlib import Path
+
+import ridertypes
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ridertypes"
 ALLOWED = set(sys.stdlib_module_names) | {"__future__"}
@@ -55,3 +57,9 @@ def test_violations_are_caught():
     assert violations("from .signature import (\n    antipode,\n    _cone_side_patterns,\n)\n"
                       "from . import _x\nfrom re import _compile\n") == [
         "1: private _cone_side_patterns from .signature", "5: private _x from ."]
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in ridertypes.__all__ if not hasattr(ridertypes, name)]
+    assert missing == []
+    assert len(set(ridertypes.__all__)) == len(ridertypes.__all__)
