@@ -15,9 +15,10 @@ from .geometry import GeometryError, Point, parse_rational, point
 
 # Most lattice points a board's scaled bounding box may hold.  N cells cost
 # N^2 bits of star masks in `census.count_nonattacking`, the `count` command,
-# and r*N*(N - 1) bits of cone masks in the grid census: at N = 2^13, 8 MiB
-# and, for r <= 6, under 48 MiB.  `lattice_points` refuses a larger box before
-# it enumerates any point; the square board fits up to n = 88.
+# and in the grid census r*N*(N - 1) bits of cone masks and N*(N - 1)/2 of
+# stars read off them: at N = 2^13, 8 MiB and, for r <= 6, under 52 MiB.
+# `lattice_points` refuses a larger box before it enumerates any point; the
+# square board fits up to n = 88.
 MAX_CELLS = 1 << 13
 
 

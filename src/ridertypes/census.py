@@ -148,9 +148,9 @@ def _cone_masks(ms: MoveSet, cells: Sequence[tuple[int, int]], start: int,
     """`cones[v - start][g - 1]` for each cell v from `start` on: the cells
     below cell v strictly inside the open cone g around v.
 
-    `groups[j]` holds the line masks of move j by key, as `grow_line_masks`
-    builds them: d*x - c*y for the move (c, d).  A cell w has key(w) =
-    key(v) - cross(move, w - v), so the cells of smaller key than v lie
+    `groups[j]`, the line masks of move j by key d*x - c*y for the move
+    (c, d), grows in place by the cells from `start` on.  A cell w has key(w)
+    = key(v) - cross(move, w - v), so the cells of smaller key than v lie
     strictly left of v's line of that move and those of larger key strictly
     right of it.  Cone g is the AND of the half-planes its `cone_patterns`
     side mask names (bit j - 1 set: larger keys).
@@ -158,12 +158,15 @@ def _cone_masks(ms: MoveSet, cells: Sequence[tuple[int, int]], start: int,
     everything = (1 << len(cells)) - 1
     halves = []  # per move, per cell from `start`: (smaller-key cells, larger-key cells)
     for m, own in zip(ms.moves, groups):
+        keys = [m.d * x - m.c * y for x, y in cells[start:]]
+        for i, k in enumerate(keys, start):
+            own[k] = own.get(k, 0) | (1 << i)
         # one pair per line, shared by its cells: a pair per cell would be N^2 bits
         split, seen = {}, 0
         for k in sorted(own):
             split[k] = (seen, everything ^ seen ^ own[k])
             seen |= own[k]
-        halves.append([split[m.d * x - m.c * y] for x, y in cells[start:]])
+        halves.append([split[k] for k in keys])
     cones = []
     for v in range(start, len(cells)):
         below = (1 << v) - 1
@@ -185,9 +188,10 @@ def grid_sweep(ms: MoveSet, board: Board, q: int, orders: Iterable[int]
     of the order-n lattice board and the types realized on it (a lower
     bound for fixed n).
 
-    Runs on the line masks of `grow_line_masks` and the cone bitmasks that
-    `_cone_masks` reads off them.  Pieces 1..q-1 run over the nonattacking
-    sets of `placement.nonattacking_sets`, highest cell first, and the last
+    Runs on the cone bitmasks of `_cone_masks` alone.  Below cell v, the
+    cells v does not attack are exactly the union of its 2r cones, so the
+    star that `placement.nonattacking_sets` needs is read off them: pieces
+    1..q-1 run over its nonattacking sets, highest cell first, and the last
     piece over each set's `rest`.  The last piece lies in cone g_i around
     chosen piece i exactly when it is in `cones[chosen[i]][g_i - 1]`, so the
     keys one chosen set yields are exactly the cone tuples (g_1, ..., g_{q-1})
@@ -198,8 +202,8 @@ def grid_sweep(ms: MoveSet, board: Board, q: int, orders: Iterable[int]
     into the key.  (The AND of the cones alone lies inside `rest`, since each
     mask holds only lower cells off its piece's lines; `rest` serves to skip
     a set that no last piece extends.)  The masks hold r*N*(N - 1) bits for
-    N cells and the stars N^2 more, which `boards.MAX_CELLS` bounds.  q = 1
-    builds no masks.
+    N cells and the stars N*(N - 1)/2 more, which `boards.MAX_CELLS` bounds.
+    q = 1 builds no masks.
 
     Across orders, an old cell keeps its masks and its star, which are read
     only below the cell, where every cell is old; each new cell gets its
@@ -219,8 +223,10 @@ def grid_sweep(ms: MoveSet, board: Board, q: int, orders: Iterable[int]
             types: frozenset[LabelledType] = frozenset()
         everything = (1 << len(cells)) - 1
         if q > 1:
-            grow_line_masks(ms, cells, start, groups, stars)
-            cones += _cone_masks(ms, cells, start, groups)
+            grown = _cone_masks(ms, cells, start, groups)
+            cones += grown
+            # below v the star is every cell outside v's cones, which are disjoint
+            stars += (~sum(own) for own in grown)
         met = set()
         for chosen, rest in nonattacking_sets(everything, q - 1, stars.__getitem__,
                                               everything ^ ((1 << start) - 1)):
@@ -557,19 +563,25 @@ def report_text(report: dict, types: Sequence[LabelledType]) -> str:
     return f'{head}\n  "types": [\n{body}\n  ]{tail}'
 
 
-def census_from_dict(data: dict) -> Census:
-    q, exact = data["q"], data["exact"]
-    if type(q) is not int or type(exact) is not bool:
-        raise TypeError(f"q = {q!r} is not an int or exact = {exact!r} not a bool")
-    ms = parse_moves(data["moves"])
-    keys = [tuple(key) for key in data["types"]]
-    size = q * (q - 1)
-    # the length first: a spoiled q must not build its q(q - 1) pairs; and
-    # no float or bool may pass `LabelledType`'s range check as an int
-    if any(len(key) != size or any(type(g) is not int for g in key) for key in keys):
-        raise TypeError(f"a type is not a key of q(q - 1) = {size} ints")
-    types = frozenset(canonical_unlabelled(LabelledType(q, ms.r, key)) for key in keys)
-    return Census(ms, q, data["engine"], types, exact, dict(data.get("metadata", {})))
+def census_from_dict(query: dict, value: dict) -> Census:
+    """The census that the cached `value` of `query` stands for.
+
+    Its move set, q and engine are the query's, `exact` is the engine's
+    rule, its metadata is the value's with the query's value laid over each
+    option the engine records, and each stored key gives one
+    `canonical_unlabelled` type.  One rule decides a hit: that census must
+    write back exactly the value, as JSON text.
+    """
+    ms, q, engine = parse_moves(query["moves"]), query["q"], query["engine"]
+    types = frozenset(canonical_unlabelled(LabelledType(q, ms.r, tuple(map(int, key))))
+                      for key in value["types"])
+    recorded = {k: v for k, v in query.items()
+                if k in ("refinement", "samples", "seed", "n", "window")}
+    census = Census(ms, q, engine, types, engine == "geometric" and q <= GEOMETRIC_EXACT_MAX_Q,
+                    {**value["metadata"], **recorded})
+    if json.dumps(census_to_dict(census), sort_keys=True) != json.dumps(value, sort_keys=True):
+        raise ValueError("the value is not the census it decodes to")
+    return census
 
 
 # Hashed into every cache key.  Raise it whenever an engine's results or
@@ -602,8 +614,8 @@ def cache_load(cache_dir: str | os.PathLike | None, key: str,
             return decode(entry["value"])
     except FileNotFoundError:
         return None
-    except (LookupError, TypeError, ValueError, AttributeError, RecursionError):
-        pass  # ValueError also covers bad JSON and bad UTF-8
+    except (LookupError, TypeError, ValueError, OverflowError, AttributeError, RecursionError):
+        pass  # ValueError also covers bad JSON and bad UTF-8; OverflowError, int(Infinity)
     print(f"cache entry {path} does not parse as an entry; recomputing", file=sys.stderr)
     return None
 

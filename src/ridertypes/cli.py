@@ -18,8 +18,6 @@ from typing import Sequence
 
 from .boards import lattice_points, parse_board
 from .census import (
-    GEOMETRIC_EXACT_MAX_Q,
-    Census,
     cache_key,
     cache_load,
     cache_store,
@@ -134,21 +132,6 @@ def _cached_counts(ms: MoveSet, q: int, value: object) -> dict[int, int]:
     return counts
 
 
-def _cached_census(query: dict, value: dict) -> Census:
-    if any(value[k] != query[k] for k in ("moves", "q", "engine")):
-        raise ValueError("the value holds the census of another query")
-    # Only the geometric census, up to its exact q, is exact: no census the
-    # CLI runs is confirmed by another engine.  An option that the metadata
-    # also records, such as the refinement, must be the query's.
-    exact = query["engine"] == "geometric" and query["q"] <= GEOMETRIC_EXACT_MAX_Q
-    metadata = value["metadata"]
-    if (type(metadata) is not dict or value["exact"] is not exact
-            or any(type(metadata[k]) is not type(v) or metadata[k] != v
-                   for k, v in query.items() if k in metadata)):
-        raise ValueError("the value's exact or metadata is not the query's")
-    return census_from_dict(value)
-
-
 # Per-prime counts go to a process pool from this q on, and are counted in
 # this process below it.  Measured on a 2-vCPU host, fresh cache: starting
 # a pool costs 8-16 ms, so at q = 4 (7 primes) `run_ff` takes 12-17 ms on
@@ -250,7 +233,7 @@ def cmd_types(args) -> int:
                                             args.n_max, args.window)[0]
         query = {"moves": str(ms), "q": args.q, "engine": args.engine, **read}
         cached = cache_load(cache_dir, cache_key("census", query),
-                            functools.partial(_cached_census, query))
+                            functools.partial(census_from_dict, query))
         if cached is not None:
             _log(f"cache hit for {args.engine} census")
         census = run() if cached is None else cached

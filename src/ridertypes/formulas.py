@@ -142,14 +142,17 @@ def fit_quasipoly(data: list[tuple[int, int]], period: int, degree: int) -> Quas
     return QuasiPoly(period, tuple(constituents))
 
 
-def find_period(data: list[tuple[int, int]], degree: int,
-                candidates: tuple[int, ...] = (1, 2, 3, 4, 6)) -> int:
-    """Smallest candidate period under which the data fits exactly.
+# The periods `find_period` tries, smallest first.
+PERIOD_CANDIDATES = (1, 2, 3, 4, 6)
+
+
+def find_period(data: list[tuple[int, int]], degree: int) -> int:
+    """Smallest of `PERIOD_CANDIDATES` under which the data fits exactly.
 
     Reported rather than guessed silently: callers should surface the value.
     """
     last = None
-    for period in candidates:
+    for period in PERIOD_CANDIDATES:
         try:
             fit_quasipoly(data, period, degree)
             return period

@@ -5,6 +5,7 @@ which stays independent of the bitmask backtracker."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 
@@ -377,18 +378,39 @@ def test_census_serialization_round_trip():
     data = census_to_dict(c)
     assert data["unlabelled"] == 17
     assert data["labelled"] == 102
-    back = census_from_dict(data)
+    back = census_from_dict({"moves": str(TRIDENT), "q": 3, "engine": "geometric",
+                             "refinement": 1}, data)
     assert back.types == c.types
     assert back.engine == c.engine
+
+
+@pytest.mark.parametrize("query, run", [
+    ({"engine": "geometric", "q": 4, "refinement": 2},
+     lambda ms: geometric_census(ms, 4, 2)),
+    ({"engine": "random", "q": 3, "samples": 300, "seed": 7},
+     lambda ms: random_census(ms, 3, 300, 7)),
+    ({"engine": "grid", "q": 3, "board": "triangle", "n": 5},
+     lambda ms: grid_census(ms, TRIANGLE, 5, 3)),
+    ({"engine": "grid", "q": 2, "board": "square", "n_start": 1, "n_max": 9, "window": 2},
+     lambda ms: stabilized_census(ms, SQUARE, 2, 1, 9, 2)[0]),
+], ids=["geometric", "random", "grid-n", "grid-stabilized"])
+def test_census_round_trip_of_each_engine_form(query, run):
+    # a census decodes from its own cache value to itself, metadata and
+    # exact included, for the query that the CLI builds for it
+    c = run(SEMIQUEEN)
+    back = census_from_dict({"moves": str(SEMIQUEEN), **query}, census_to_dict(c))
+    assert back == c and back.metadata == c.metadata and back.exact == c.exact
+    assert census_to_dict(back) == census_to_dict(c)
 
 
 def test_census_cache(tmp_path):
     c = geometric_census(ROOK, 2)
     query = {"moves": str(ROOK), "q": 2, "engine": "geometric"}
     key = cache_key("census", query)
-    assert cache_load(tmp_path, key, census_from_dict) is None
+    decode = functools.partial(census_from_dict, query)
+    assert cache_load(tmp_path, key, decode) is None
     cache_store(tmp_path, "census", query, census_to_dict(c))
-    hit = cache_load(tmp_path, key, census_from_dict)
+    hit = cache_load(tmp_path, key, decode)
     assert hit is not None
     assert hit.types == c.types
 
@@ -401,7 +423,7 @@ def test_cache_entry_of_another_query_is_a_miss(tmp_path, capsys):
     for kind, other in (("census", dict(query, q=3)), ("prime-count", query)):
         key = cache_key(kind, other)
         entry.rename(tmp_path / f"{key}.json")
-        assert cache_load(tmp_path, key, census_from_dict) is None
+        assert cache_load(tmp_path, key, functools.partial(census_from_dict, other)) is None
         assert capsys.readouterr().err.count("does not parse") == 1
         (entry,) = tmp_path.iterdir()
 
@@ -415,7 +437,8 @@ def test_cache_entry_from_another_schema_is_a_miss(tmp_path, monkeypatch):
     cache_store(tmp_path, "census", query, census_to_dict(geometric_census(ROOK, 2)))
     assert (tmp_path / f"{old_key}.json").is_file()
     monkeypatch.undo()
-    assert cache_load(tmp_path, cache_key("census", query), census_from_dict) is None
+    decode = functools.partial(census_from_dict, query)
+    assert cache_load(tmp_path, cache_key("census", query), decode) is None
 
 
 def test_projective_transport_preserves_census():

@@ -28,7 +28,7 @@ from ridertypes.census import (
 from ridertypes.cli import PIECES, family_movesets, main
 from ridertypes.finitefield import valid_primes_from
 from ridertypes.geometry import parse_moves
-from ridertypes.signature import least_relabelling, type_dict
+from ridertypes.signature import key_pairs, least_relabelling, type_dict
 
 
 def run_cli(capsys, *argv):
@@ -339,6 +339,7 @@ def test_census_entry_with_a_broken_type_is_a_miss(tmp_path, capsys):
                    [float(first[0])] + first[1:],               # a float, == the int
                    [str(first[0])] + first[1:],                 # a string
                    [True] + first[1:],                          # a bool, == 1
+                   [float("inf")] + first[1:],                  # Infinity: int() overflows
                    [[first[0]]] + first[1:],                    # a nested list
                    first[0],                                    # an int, not a list
                    "".join(map(str, first)),                    # a string of q(q - 1) digits
@@ -350,6 +351,40 @@ def test_census_entry_with_a_broken_type_is_a_miss(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (0, fresh), broken
         assert "does not parse" in err and "cache hit" not in err
+        assert json.loads(entry.read_text()) == good
+
+
+def test_census_entry_that_does_not_write_back_is_a_miss(tmp_path, capsys):
+    # well-formed keys, counts and fields that the census they decode to
+    # does not write back exactly: served, two keys of one orbit would give
+    # 16 trident types where r(r^2 + 3r - 1)/3 = 17, and exit 1 under --check
+    argv = ("--cache-dir", str(tmp_path), "types", "--moves", "trident",
+            "--q", "3", "--engine", "geometric", "--check")
+    code, fresh, _ = run_cli(capsys, *argv)
+    assert code == 0
+    (entry,) = tmp_path.iterdir()
+    good = json.loads(entry.read_text())
+    census = good["value"]
+    q, keys = census["q"], census["types"]
+    position = {pair: n for n, pair in enumerate(key_pairs(q))}
+
+    def other_labelling(key):  # the key of the same type with pieces 1 and 2 swapped
+        swap = {1: 2, 2: 1}
+        other = [key[position[swap.get(i, i), swap.get(k, k)]] for i, k in key_pairs(q)]
+        assert other != key and least_relabelling(q, tuple(other)) == tuple(key)
+        return other
+
+    for spoiled in (dict(census, types=sorted([other_labelling(keys[1])] + keys[1:])),
+                    dict(census, types=sorted([other_labelling(keys[0])] + keys[1:])),
+                    dict(census, types=[keys[1], keys[0]] + keys[2:]),
+                    dict(census, unlabelled=census["unlabelled"] + 1),
+                    dict(census, labelled=census["labelled"] + 1),
+                    dict(census, r=census["r"] + 1),
+                    dict(census, stable=True)):
+        entry.write_text(json.dumps(dict(good, value=spoiled)))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (0, fresh), spoiled
+        assert err.count("does not parse") == 1 and "cache hit" not in err
         assert json.loads(entry.read_text()) == good
 
 
@@ -595,8 +630,15 @@ def test_concurrent_windows_never_spoil_the_entry(tmp_path, capfd):
 
 def test_census_entry_exact_and_metadata_follow_the_query(tmp_path, capsys):
     # grid and random censuses are never exact, and their metadata must
-    # hold the query's options: otherwise an entry is a miss, replaced
+    # hold the query's options, each one the engine records: otherwise an
+    # entry is a miss, replaced
     for argv, spoil in (
+            (("--engine", "geometric"), {"metadata": {"placements": 8}}),
+            (("--engine", "random", "--samples", "40", "--seed", "2"),
+             {"metadata": {"samples": 40, "nonattacking": 40}}),
+            (("--engine", "grid", "--n", "4"), {"metadata": {"cells": 16}}),
+            (("--engine", "grid", "--n-max", "6"),
+             {"metadata": {"n": 5, "stabilized_at": 3, "stable": True}}),
             (("--engine", "random", "--samples", "40", "--seed", "2"), {"exact": True}),
             (("--engine", "random", "--samples", "40", "--seed", "2"),
              {"metadata": {"samples": 40, "seed": 3, "nonattacking": 40}}),
