@@ -5,7 +5,6 @@ from .geometry import (
     GeometryError,
     MoveSet,
     Point,
-    Side,
     parse_moves,
     parse_point,
     point,
@@ -51,7 +50,6 @@ __all__ = [
     "Point",
     "QuasiPoly",
     "SQUARE",
-    "Side",
     "TRIANGLE",
     "canonical_unlabelled",
     "char_poly",

@@ -14,9 +14,10 @@ from typing import Iterable, Iterator
 from .geometry import GeometryError, Point, parse_rational, point
 
 # Most lattice points a board's scaled bounding box may hold.  N cells cost
-# N^2 bits of star masks in `census.count_nonattacking`, the `count` command,
-# and in the grid census r*N*(N - 1) bits of cone masks and N*(N - 1)/2 of
-# stars read off them: at N = 2^13, 8 MiB and, for r <= 6, under 52 MiB.
+# N*(N - 1)/2 bits of star masks, each held below its cell, in
+# `census.count_nonattacking` and the `count` command, and in the grid census
+# r*N*(N - 1) bits of cone masks and N*(N - 1)/2 of stars read off them: at
+# N = 2^13, 4 MiB and, for r <= 6, under 52 MiB.
 # `lattice_points` refuses a larger box before it enumerates any point; the
 # square board fits up to n = 88.
 MAX_CELLS = 1 << 13
@@ -51,28 +52,16 @@ TRIANGLE = Board((point(0, 0), point(1, 0), point(0, 1)))
 NAMED_BOARDS = {"square": SQUARE, "triangle": TRIANGLE}
 
 
-def contains_open(board: Board, scale: int, p: Point) -> bool:
-    """True iff p lies strictly inside scale * board (all edge tests strict)."""
-    n = len(board.vertices)
-    for i in range(n):
-        a = board.vertices[i]
-        b = board.vertices[(i + 1) % n]
-        # interior of a ccw polygon is strictly left of each directed edge
-        cross = (b.x - a.x) * (p.y - scale * a.y) - (b.y - a.y) * (p.x - scale * a.x)
-        if cross <= 0:
-            return False
-    return True
-
-
 def lattice_points(board: Board, n: int) -> tuple[tuple[int, int], ...]:
     """Integer points strictly inside (n+1) * board, in lexicographic order.
 
-    Runs the strict edge tests of `contains_open` in integers.  Scaled by
-    the common denominator den of the vertex coordinates, the vertices are
-    integer points A, B, ...; for edge A -> B with (ex, ey) = B - A, den**2
-    times the cross product at (x, y) is
-    den*(ex*y - ey*x) + scale*(ey*Ax - ex*Ay).  A board whose scaled
-    bounding box holds more than MAX_CELLS lattice points is refused.
+    A point is inside when it lies strictly left of every directed edge of
+    the counterclockwise polygon, tested in integers.  Scaled by the common
+    denominator den of the vertex coordinates, the vertices are integer
+    points A, B, ...; for edge A -> B with (ex, ey) = B - A, den**2 times
+    the cross product at (x, y) is den*(ex*y - ey*x) + scale*(ey*Ax - ex*Ay).
+    A board whose scaled bounding box holds more than MAX_CELLS lattice
+    points is refused.
     """
     if n < 1:
         raise GeometryError("board order n must be >= 1")

@@ -28,23 +28,20 @@ from .boards import (
     lattice_points,  # not called here; bench/run.py traces it in this module
 )
 from .geometry import (
+    BasicMove,
     GeometryError,
     MoveSet,
     ORIGIN,
-    OrientedLine,
     Point,
-    Side,
-    arrangement,
     configuration_arrangement,
-    intersect,
+    crossing,
     line_coefficients,
-    move_lines,
+    line_through,
     parse_moves,
+    point_mask,
+    region_count,
     region_masks,
-    region_representatives,
-    region_sample_points,  # not called here; bench/run.py traces it in this module
-    sign_vector,
-    steiner_count,
+    region_masks as region_sample_points,  # not called here; bench/run.py traces the name
     unoriented,
 )
 from .placement import count_sets, grow_line_masks, nonattacking_sets
@@ -110,8 +107,8 @@ def count_sweep(ms: MoveSet, board: Board, q: int, orders: Iterable[int]
 
     Counts the nonattacking q-sets of cells with `placement.count_sets`
     and multiplies by q!.  The line masks grow by each order's new cells; an
-    old cell keeps its star, since the enumerator reads only the bits below
-    a cell, which are all old.  q <= 2 counts in closed form on the whole
+    old cell keeps its star, which holds only the cells below it, all old.
+    q <= 2 counts in closed form on the whole
     board; from q = 3 on, the count adds the sets whose highest cell is new
     to the previous order's.
     """
@@ -428,31 +425,38 @@ class FoursWitness:
     p2: Point
     p3_a: Point
     p3_b: Point
-    region_signature: tuple
+    region_signature: int  # the region's mask in arr(P1, P2), as `point_mask` reads it
     differing_type: LabelledType
 
 
+def _point(xa: int, xb: int, ya: int, yb: int) -> Point:
+    return Point(Fraction(xa, xb), Fraction(ya, yb))
+
+
 def _reachable_keys(ms: MoveSet, cfg3: tuple[Point, ...]) -> frozenset[tuple[int, ...]]:
-    arr = configuration_arrangement(ms, cfg3)
-    return frozenset(labelled_type(ms, Config(cfg3 + (p4,))).key
-                     for p4 in region_representatives(arr))
+    return frozenset(labelled_type(ms, Config(cfg3 + (_point(*pts[0]),))).key
+                     for pts in region_masks(configuration_arrangement(ms, cfg3)).values())
 
 
-def sweep_loci(ms: MoveSet, p1: Point, p2: Point) -> list[OrientedLine]:
+def sweep_loci(ms: MoveSet, p1: Point, p2: Point) -> list[tuple[int, int, int]]:
     """The distinct lines through each crossing X of a P1 move line with a
     P2 move line that have a move slope other than the two crossing at X."""
     loci = {}
     for a, b, c in itertools.permutations(ms.moves, 3):
-        ln = OrientedLine(intersect(OrientedLine(p1, a), OrientedLine(p2, b)), c)
-        loci.setdefault(ln.unoriented_key(), ln)
+        x, y, det = crossing(line_through(a, p1), line_through(b, p2))
+        ln = line_coefficients(c, x, det, y, det)
+        loci.setdefault(unoriented(ln), ln)
     return list(loci.values())
 
 
-def _toward_nearest(line: OrientedLine, walls: list[OrientedLine], frac: Fraction) -> Point:
-    """The point `frac` of the way from the line's anchor to its nearest
-    other crossing with `walls` (frac < 0: as far the other way)."""
-    a = line.anchor
-    xs = [x for x in (intersect(line, w) for w in walls) if isinstance(x, Point) and x != a]
+def _toward_nearest(a: Point, move: BasicMove, walls: list[tuple[int, int, int]],
+                    frac: Fraction) -> Point:
+    """The point `frac` of the way from `a` to the nearest other crossing of
+    its line along `move` with `walls` (frac < 0: as far the other way); the
+    first of the nearest wins a tie."""
+    line = line_through(move, a)
+    xs = [p for x, y, det in (crossing(line, w) for w in walls)
+          if det and (p := _point(x, det, y, det)) != a]
     x = min(xs, key=lambda x: abs(x.x - a.x) + abs(x.y - a.y))
     return a.translated(frac * (x.x - a.x), frac * (x.y - a.y))
 
@@ -482,15 +486,14 @@ def fours_witness(ms: MoveSet) -> FoursWitness | None:
     if ms.r < 3:
         return None
     p1 = ORIGIN
-    p2 = region_representatives(arrangement(move_lines(ms, p1)))[0]
+    p2 = _point(*next(iter(region_masks(configuration_arrangement(ms, (p1,))).values()))[0])
     arr12 = configuration_arrangement(ms, (p1, p2))
-    walls = [*arr12.lines, *sweep_loci(ms, p1, p2)]
-    x = intersect(arr12.lines[0], arr12.lines[ms.r + 1])
-    mid = _toward_nearest(OrientedLine(x, ms.moves[2]), walls, Fraction(1, 2))
-    across = OrientedLine(mid, ms.moves[0])
-    p3_a, p3_b = (_toward_nearest(across, walls, Fraction(f, 2)) for f in (-1, 1))
+    walls = [*arr12, *sweep_loci(ms, p1, p2)]
+    x, y, det = crossing(arr12[0], arr12[ms.r + 1])
+    mid = _toward_nearest(_point(x, det, y, det), ms.moves[2], walls, Fraction(1, 2))
+    p3_a, p3_b = (_toward_nearest(mid, ms.moves[0], walls, Fraction(f, 2)) for f in (-1, 1))
     ra, rb = (_reachable_keys(ms, (p1, p2, p3)) for p3 in (p3_a, p3_b))
-    return FoursWitness(p1, p2, p3_a, p3_b, sign_vector(arr12, p3_a),
+    return FoursWitness(p1, p2, p3_a, p3_b, point_mask(arr12, p3_a),
                         LabelledType(4, ms.r, min(ra ^ rb)))
 
 
@@ -498,16 +501,15 @@ def witness_checks(ms: MoveSet, w: FoursWitness) -> dict[str, bool]:
     """The named checks that make `w` a genuine witness."""
     p3s = (w.p3_a, w.p3_b)
     arr12 = configuration_arrangement(ms, (w.p1, w.p2))
-    loci = arrangement(sweep_loci(ms, w.p1, w.p2))
+    loci = sweep_loci(ms, w.p1, w.p2)
     arrs = [configuration_arrangement(ms, (w.p1, w.p2, p3)) for p3 in p3s]
     ra, rb = (_reachable_keys(ms, (w.p1, w.p2, p3)) for p3 in p3s)
-    sa, sb = (sign_vector(loci, p3) for p3 in p3s)
+    sa, sb = (point_mask(loci, p3) for p3 in p3s)
     return {
-        "one region": {sign_vector(arr12, p3) for p3 in p3s} == {w.region_signature},
-        "complete enumerations": all(len(region_representatives(a)) == steiner_count(a)
-                                     for a in arrs),
+        "one region": {point_mask(arr12, p3) for p3 in p3s} == {w.region_signature},
+        "complete enumerations": all(len(region_masks(a)) == region_count(a) for a in arrs),
         "reachable sets differ": w.differing_type.key in ra ^ rb,
-        "one locus crossed": Side.ON not in sa + sb and sum(a != b for a, b in zip(sa, sb)) == 1,
+        "one locus crossed": None not in (sa, sb) and (sa ^ sb).bit_count() == 1,
     }
 
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .geometry import GeometryError, MoveSet, frame_map
+from .geometry import GeometryError, MoveSet, crossing, frame_map
 from .placement import count_sets, torus_line_masks
 
 # Largest prime the engine counts over.  `torus_count` holds p line masks of
@@ -112,16 +112,13 @@ def last_level_count(p: int, lines: list[tuple[int, int, int]]) -> int:
     if len(set(normalized)) != len(normalized):
         raise GeometryError("duplicate lines mod p")
     union = 0
-    for i, (a1, b1, c1) in enumerate(normalized):
+    for i, l1 in enumerate(normalized):
         seen = set()
-        for a2, b2, c2 in normalized[:i]:
-            det = (a1 * b2 - a2 * b1) % p
-            if det == 0:
-                continue
-            dinv = pow(det, -1, p)
-            x = (c1 * b2 - c2 * b1) * dinv % p
-            y = (a1 * c2 - a2 * c1) * dinv % p
-            seen.add((x, y))
+        for l2 in normalized[:i]:
+            x, y, det = crossing(l1, l2)
+            if det % p:
+                dinv = pow(det, -1, p)
+                seen.add((x * dinv % p, y * dinv % p))
         union += p - len(seen)
     return p * p - union
 

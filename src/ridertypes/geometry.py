@@ -1,34 +1,24 @@
 """Exact rational planar geometry for rider move-line arrangements.
 
-Everything here is computed over Q with `fractions.Fraction`, or in
-integers: the slab sampler puts the x-breakpoints over one common
-denominator, and the ordinates at each sample abscissa over another, and
-sorts and side-tests their numerators.  There is no floating point anywhere
-in this module.  The orientation convention is fixed once and for all:
-walking along a line's direction vector, Left is the counterclockwise
-(positive cross product) side.
+Points are over Q with `fractions.Fraction`; lines are integer triples
+(A, B, C) for {A*x + B*y == C}.  The slab sampler puts the x-breakpoints
+over one common denominator, and the ordinates at each sample abscissa over
+another, and sorts and side-tests their numerators.  There is no floating
+point anywhere in this module.  The orientation convention is fixed once and
+for all: walking along a line's direction vector, Left is the
+counterclockwise (positive cross product) side, where A*x + B*y - C < 0.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class GeometryError(ValueError):
     """Invalid geometric input (zero move, duplicate line, singular map...)."""
-
-
-class Side(enum.Enum):
-    LEFT = "L"
-    RIGHT = "R"
-    ON = "O"
-
-    def __repr__(self):
-        return self.name
 
 
 @dataclass(frozen=True, order=True)
@@ -109,26 +99,6 @@ def point(x, y) -> Point:
 ORIGIN = point(0, 0)
 
 
-@dataclass(frozen=True)
-class OrientedLine:
-    """Line through `anchor` with direction `direction`, oriented by it."""
-
-    anchor: Point
-    direction: BasicMove
-
-    def unoriented_key(self) -> tuple[int, int, int]:
-        """Canonical key identifying the underlying unoriented line: its
-        `int_coefficients` up to sign (`unoriented`)."""
-        return unoriented(self.int_coefficients())
-
-    def int_coefficients(self) -> tuple[int, int, int]:
-        """Integer (A, B, C) with the line equal to {A*x + B*y == C}: the
-        `line_coefficients` of its direction through its anchor."""
-        x, y = self.anchor.x, self.anchor.y
-        return line_coefficients(self.direction, x.numerator, x.denominator,
-                                 y.numerator, y.denominator)
-
-
 def line_coefficients(move: BasicMove, xa: int, xb: int, ya: int, yb: int
                       ) -> tuple[int, int, int]:
     """Integer (A, B, C) with the line of `move` through (xa/xb, ya/yb),
@@ -153,91 +123,54 @@ def unoriented(coefficients: tuple[int, int, int]) -> tuple[int, int, int]:
     return max(coefficients, (-a, -b, -c))
 
 
-def side_of(line: OrientedLine, p: Point) -> Side:
-    """Which side of the oriented line the point is on (Left = ccw side)."""
-    dx, dy = p - line.anchor
-    cross = line.direction.c * dy - line.direction.d * dx
-    if cross > 0:
-        return Side.LEFT
-    if cross < 0:
-        return Side.RIGHT
-    return Side.ON
+def line_through(move: BasicMove, p: Point) -> tuple[int, int, int]:
+    """The `line_coefficients` of the line of `move` through the point p."""
+    return line_coefficients(move, p.x.numerator, p.x.denominator,
+                             p.y.numerator, p.y.denominator)
 
 
-def intersect(a: OrientedLine, b: OrientedLine) -> Point | None:
-    """Intersection point of two lines, or None if they are parallel or equal."""
-    d1, d2 = a.direction, b.direction
-    denom = d2.c * d1.d - d2.d * d1.c
-    if denom == 0:
-        return None
-    wx, wy = b.anchor - a.anchor
-    t = Fraction(d2.c * wy - d2.d * wx, denom)
-    return Point(a.anchor.x + t * d1.c, a.anchor.y + t * d1.d)
+def configuration_arrangement(ms: MoveSet, pieces: Sequence[Point]
+                              ) -> list[tuple[int, int, int]]:
+    """The move lines of all pieces as `line_through` triples, r per piece in
+    piece order.  The pieces must be nonattacking: otherwise two pencils share
+    a line, and the check on the `unoriented` keys raises GeometryError."""
+    lines = [line_through(m, p) for p in pieces for m in ms.moves]
+    if len(set(map(unoriented, lines))) < len(lines):
+        raise GeometryError("duplicate line: two pieces share a move line")
+    return lines
 
 
-@dataclass(frozen=True)
-class LineArrangement:
-    """A finite set of oriented lines, no two on the same unoriented line."""
-
-    lines: tuple[OrientedLine, ...]
-
-    def __post_init__(self):
-        seen = {}
-        for ln in self.lines:
-            key = ln.unoriented_key()
-            if key in seen:
-                raise GeometryError(f"duplicate line: {ln} repeats {seen[key]}")
-            seen[key] = ln
-
-    @property
-    def k(self) -> int:
-        return len(self.lines)
+def crossing(l1: tuple[int, int, int], l2: tuple[int, int, int]) -> tuple[int, int, int]:
+    """(X, Y, D) by Cramer's rule for two lines A*x + B*y = C: they cross at
+    (X / D, Y / D) with D > 0, and D == 0 when they are parallel or equal."""
+    (a1, b1, c1), (a2, b2, c2) = l1, l2
+    det = a1 * b2 - a2 * b1
+    if det < 0:
+        return c2 * b1 - c1 * b2, a2 * c1 - a1 * c2, -det
+    return c1 * b2 - c2 * b1, a1 * c2 - a2 * c1, det
 
 
-def arrangement(lines: Iterable[OrientedLine]) -> LineArrangement:
-    return LineArrangement(tuple(lines))
+def region_count(coeffs: Sequence[tuple[int, int, int]]) -> int:
+    """Number of open regions the lines A*x + B*y = C cut the plane into:
+    Steiner's 1 + k + sum over p >= 2 of (p - 1) * n_p for k lines with n_p
+    points where exactly p lines meet, the crossings grouped in lowest terms."""
+    through: dict[tuple[int, int, int], set[int]] = {}
+    for i, l1 in enumerate(coeffs):
+        for j in range(i + 1, len(coeffs)):
+            x, y, det = crossing(l1, coeffs[j])
+            if det:
+                g = gcd(x, y, det)
+                through.setdefault((x // g, y // g, det // g), set()).update((i, j))
+    return 1 + len(coeffs) + sum(len(lines) - 1 for lines in through.values())
 
 
-def move_lines(ms: MoveSet, anchor: Point) -> list[OrientedLine]:
-    """The r move lines of a piece located at `anchor`."""
-    return [OrientedLine(anchor, m) for m in ms.moves]
-
-
-def configuration_arrangement(ms: MoveSet, pieces: Sequence[Point]) -> LineArrangement:
-    """Union of the move-line pencils of all pieces (pieces must be nonattacking,
-    otherwise pencils share lines and the duplicate check throws)."""
-    lines = []
-    for p in pieces:
-        lines.extend(move_lines(ms, p))
-    return arrangement(lines)
-
-
-def _intersection_multiplicities(arr: LineArrangement) -> dict[Point, set[int]]:
-    """Map from intersection point to the set of line indices through it."""
-    points: dict[Point, set[int]] = {}
-    for i in range(arr.k):
-        for j in range(i + 1, arr.k):
-            p = intersect(arr.lines[i], arr.lines[j])
-            if isinstance(p, Point):
-                points.setdefault(p, set()).update((i, j))
-    return points
-
-
-def steiner_count(arr: LineArrangement) -> int:
-    """Number of open regions the arrangement cuts the plane into.
-
-    Classic count for k lines with n_p points where exactly p lines meet:
-    1 + k + sum over p >= 2 of (p - 1) * n_p.
-    """
-    total = 1 + arr.k
-    for through in _intersection_multiplicities(arr).values():
-        total += len(through) - 1
-    return total
-
-
-def sign_vector(arr: LineArrangement, p: Point) -> tuple[Side, ...]:
-    """side_of for every line, in arrangement order."""
-    return tuple(side_of(ln, p) for ln in arr.lines)
+def point_mask(coeffs: Sequence[tuple[int, int, int]], p: Point) -> int | None:
+    """The region mask of p, as `region_masks` keys it (bit n set when p is
+    Right of line n, where A*x + B*y - C > 0), or None when p is on a line."""
+    xn, xd, yn, yd = p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator
+    # the signs of A*x + B*y - C, times xd*yd > 0
+    values = [a * xn * yd + b * yn * xd - c * xd * yd for a, b, c in coeffs]
+    return None if 0 in values else sum((v > 0) << n for n, v in enumerate(values))
 
 
 def _x_breakpoints(coeffs: Sequence[tuple[int, int, int]]) -> tuple[int, list[int]]:
@@ -245,13 +178,13 @@ def _x_breakpoints(coeffs: Sequence[tuple[int, int, int]]) -> tuple[int, list[in
     crossing (Cramer's rule) are X / L for the sorted distinct integers X,
     with L the lcm of their reduced denominators."""
     xs = set()
-    for i, (a1, b1, c1) in enumerate(coeffs):
-        if b1 == 0:
-            xs.add((c1, a1))
-        for a2, b2, c2 in coeffs[i + 1:]:
-            det = a1 * b2 - a2 * b1
+    for i, l1 in enumerate(coeffs):
+        if l1[1] == 0:
+            xs.add((l1[2], l1[0]))
+        for l2 in coeffs[i + 1:]:
+            x, _, det = crossing(l1, l2)
             if det:
-                xs.add((c1 * b2 - c2 * b1, det))
+                xs.add((x, det))
     reduced = set()
     for num, den in xs:
         g = gcd(num, den) if den > 0 else -gcd(num, den)
@@ -277,11 +210,10 @@ _SPLITS = [
 
 def region_masks(coeffs: Sequence[tuple[int, int, int]], samples: int = 1
                  ) -> dict[int, list[tuple[int, ...]]]:
-    """Interior sample points grouped by region, in integers: the core of
-    `region_sample_points`, for the arrangement of the lines A*x + B*y = C
-    given by their `OrientedLine.int_coefficients` (A, B, C).  A region is
-    keyed by the mask of the lines its points are Right of (bit n for line
-    n), and a point (X, x_den, Y, y_den) is (X / x_den, Y / y_den).
+    """Interior sample points grouped by region, in integers, for the
+    arrangement of the lines A*x + B*y = C given by their triples (A, B, C).
+    A region is keyed by the mask of the lines its points are Right of (bit
+    n for line n), and a point (X, x_den, Y, y_den) is (X / x_den, Y / y_den).
 
     Slab sweep: sample abscissas lie strictly between consecutive
     x-breakpoints (crossings and vertical lines, `_x_breakpoints`) and
@@ -338,26 +270,6 @@ def region_masks(coeffs: Sequence[tuple[int, int, int]], samples: int = 1
                 ):
                     bucket.append((xa, xb, y, den))
     return found
-
-
-def region_sample_points(arr: LineArrangement, samples: int = 1) -> dict[tuple, list[Point]]:
-    """Interior sample points grouped by region, keyed by sign vector:
-    `region_masks` with each mask read as Left/Right per line and each point
-    as a `Point`, in the same order.  Every region gets at least one point
-    and at most `samples`, and no point lies on a line, so no sign vector
-    holds `Side.ON`."""
-    sides = (Side.LEFT, Side.RIGHT)
-    return {
-        tuple(sides[mask >> n & 1] for n in range(arr.k)):
-            [Point(Fraction(xa, xb), Fraction(y, den)) for xa, xb, y, den in pts]
-        for mask, pts in region_masks([ln.int_coefficients() for ln in arr.lines],
-                                      samples).items()
-    }
-
-
-def region_representatives(arr: LineArrangement) -> list[Point]:
-    """Exactly one interior point per region of the arrangement."""
-    return [pts[0] for pts in region_sample_points(arr, 1).values()]
 
 
 # -- linear maps -------------------------------------------------------------

@@ -21,7 +21,8 @@ def line_masks(ms: MoveSet, cells: Sequence[tuple[int, int]]
 
     `lines` lists every move line that holds a cell, one-cell lines included,
     so that the lines of each move partition the cells.  `stars[i]` is the
-    star of cell i.
+    part of cell i's star below it, the cells below i that i attacks: all
+    that `nonattacking_sets` reads of it.
     """
     stars: list[int] = []
     return grow_line_masks(ms, cells, 0, [{} for _ in ms.moves], stars), stars
@@ -31,19 +32,20 @@ def grow_line_masks(ms: MoveSet, cells: Sequence[tuple[int, int]], start: int,
                     groups: list[dict[int, int]], stars: list[int]) -> list[int]:
     """The lines of `line_masks` for `cells`, after putting the cells from
     `start` on: `groups[j]`, the masks of move j's lines by key, holds the
-    cells below `start`, and `stars` their stars.  Both grow in place.  The
-    stars of the cells below `start` are left without the new cells, which
-    lie above them, where `nonattacking_sets` reads no star.
+    cells below `start`, and `stars` their stars, as in `line_masks`.  Both
+    grow in place.  A star holds only cells below its own, so N stars hold
+    N*(N - 1)/2 bits at most, and the new cells, which lie above every old
+    one, leave the old stars as they are.
     """
     keyed = [[m.d * x - m.c * y for x, y in cells[start:]] for m in ms.moves]
     for own, keys in zip(groups, keyed):
         for i, k in enumerate(keys, start):
             own[k] = own.get(k, 0) | (1 << i)
-    for i in range(len(cells) - start):
+    for i in range(start, len(cells)):
         star = 0
         for own, keys in zip(groups, keyed):
-            star |= own[keys[i]]
-        stars.append(star)
+            star |= own[keys[i - start]]
+        stars.append(star & ((1 << i) - 1))
     return [line for own in groups for line in own.values()]
 
 

@@ -2,31 +2,169 @@
 
 Everything here recomputes results the slow, obvious way (exhaustive
 enumeration, per-cell iteration) without touching the engines' internals.
+The `Fraction` line layer (`OrientedLine`, `side_of`, `intersect`,
+`steiner_count`, ...) is the reference that the integer line triples of
+`ridertypes.geometry` and the fours witness are tested against.
 """
 
 from __future__ import annotations
 
+import enum
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from ridertypes.boards import lattice_points
 from ridertypes.placement import count_sets, torus_line_masks
 from ridertypes.geometry import (
     BasicMove,
+    GeometryError,
+    MoveSet,
     ORIGIN,
-    OrientedLine,
     Point,
-    Side,
-    arrangement,
-    configuration_arrangement,
-    intersect,
+    line_through,
     point,
-    region_sample_points,
-    sign_vector,
+    region_masks,
+    unoriented,
 )
 from ridertypes.signature import Config, canonical_unlabelled, labelled_type
+
+
+# -- the Fraction line layer -------------------------------------------------
+
+class Side(enum.Enum):
+    LEFT = "L"
+    RIGHT = "R"
+    ON = "O"
+
+    def __repr__(self):
+        return self.name
+
+
+@dataclass(frozen=True)
+class OrientedLine:
+    """Line through `anchor` with direction `direction`, oriented by it."""
+
+    anchor: Point
+    direction: BasicMove
+
+    def unoriented_key(self) -> tuple[int, int, int]:
+        """The `unoriented` key of the line's integer triple."""
+        return unoriented(self.int_coefficients())
+
+    def int_coefficients(self) -> tuple[int, int, int]:
+        """Integer (A, B, C) with the line equal to {A*x + B*y == C}."""
+        return line_through(self.direction, self.anchor)
+
+
+def side_of(line: OrientedLine, p: Point) -> Side:
+    """Which side of the oriented line the point is on (Left = ccw side)."""
+    dx, dy = p - line.anchor
+    cross = line.direction.c * dy - line.direction.d * dx
+    if cross > 0:
+        return Side.LEFT
+    if cross < 0:
+        return Side.RIGHT
+    return Side.ON
+
+
+def intersect(a: OrientedLine, b: OrientedLine) -> Point | None:
+    """Intersection point of two lines, or None if they are parallel or equal."""
+    d1, d2 = a.direction, b.direction
+    denom = d2.c * d1.d - d2.d * d1.c
+    if denom == 0:
+        return None
+    wx, wy = b.anchor - a.anchor
+    t = Fraction(d2.c * wy - d2.d * wx, denom)
+    return Point(a.anchor.x + t * d1.c, a.anchor.y + t * d1.d)
+
+
+@dataclass(frozen=True)
+class LineArrangement:
+    """A finite set of oriented lines, no two on the same unoriented line."""
+
+    lines: tuple[OrientedLine, ...]
+
+    def __post_init__(self):
+        seen = {}
+        for ln in self.lines:
+            key = ln.unoriented_key()
+            if key in seen:
+                raise GeometryError(f"duplicate line: {ln} repeats {seen[key]}")
+            seen[key] = ln
+
+    @property
+    def k(self) -> int:
+        return len(self.lines)
+
+
+def arrangement(lines: Iterable[OrientedLine]) -> LineArrangement:
+    return LineArrangement(tuple(lines))
+
+
+def move_lines(ms: MoveSet, anchor: Point) -> list[OrientedLine]:
+    """The r move lines of a piece located at `anchor`."""
+    return [OrientedLine(anchor, m) for m in ms.moves]
+
+
+def fraction_configuration_arrangement(ms: MoveSet, pieces: Sequence[Point]) -> LineArrangement:
+    """Union of the move-line pencils of all pieces, in piece order."""
+    return arrangement(ln for p in pieces for ln in move_lines(ms, p))
+
+
+def _intersection_multiplicities(arr: LineArrangement) -> dict[Point, set[int]]:
+    """Map from intersection point to the set of line indices through it."""
+    points: dict[Point, set[int]] = {}
+    for i in range(arr.k):
+        for j in range(i + 1, arr.k):
+            p = intersect(arr.lines[i], arr.lines[j])
+            if isinstance(p, Point):
+                points.setdefault(p, set()).update((i, j))
+    return points
+
+
+def steiner_count(arr: LineArrangement) -> int:
+    """Number of open regions the arrangement cuts the plane into.
+
+    Classic count for k lines with n_p points where exactly p lines meet:
+    1 + k + sum over p >= 2 of (p - 1) * n_p.
+    """
+    total = 1 + arr.k
+    for through in _intersection_multiplicities(arr).values():
+        total += len(through) - 1
+    return total
+
+
+def sign_vector(arr: LineArrangement, p: Point) -> tuple[Side, ...]:
+    """side_of for every line, in arrangement order."""
+    return tuple(side_of(ln, p) for ln in arr.lines)
+
+
+def mask_sides(mask: int, k: int) -> tuple[Side, ...]:
+    """A region mask of k lines read as a sign vector: bit n set is Right."""
+    return tuple(Side.RIGHT if mask >> n & 1 else Side.LEFT for n in range(k))
+
+
+def region_sample_points(arr: LineArrangement, samples: int = 1) -> dict[tuple, list[Point]]:
+    """`region_masks` of the arrangement's integer triples, each mask read
+    as a sign vector and each point as a `Point`, in the same order."""
+    return {
+        mask_sides(mask, arr.k):
+            [Point(Fraction(xa, xb), Fraction(y, den)) for xa, xb, y, den in pts]
+        for mask, pts in region_masks([ln.int_coefficients() for ln in arr.lines],
+                                      samples).items()
+    }
+
+
+def region_representatives(arr: LineArrangement) -> list[Point]:
+    """Exactly one interior point per region of the arrangement."""
+    return [pts[0] for pts in region_sample_points(arr, 1).values()]
+
+
+# -- brute force, references and random inputs ------------------------------
 
 
 def cone_of(rays, dx: int, dy: int) -> int:
@@ -41,6 +179,20 @@ def cone_of(rays, dx: int, dy: int) -> int:
         if ray_half < half or (ray_half == half and rx * dy - ry * dx > 0):
             count += 1
     return count or len(rays)
+
+
+def contains_open(board, scale: int, p: Point) -> bool:
+    """True iff p lies strictly inside scale * board (all edge tests strict),
+    in `Fraction` arithmetic: the reference for `boards.lattice_points`."""
+    n = len(board.vertices)
+    for i in range(n):
+        a = board.vertices[i]
+        b = board.vertices[(i + 1) % n]
+        # interior of a ccw polygon is strictly left of each directed edge
+        cross = (b.x - a.x) * (p.y - scale * a.y) - (b.y - a.y) * (p.x - scale * a.x)
+        if cross <= 0:
+            return False
+    return True
 
 
 def nonattacking_cell_sets(ms, cells, q: int):
@@ -285,7 +437,7 @@ def labelled_geometric_types(ms, q: int, refinement: int = 1):
         partials = [
             cfg + (p,)
             for cfg in partials
-            for pts in region_sample_points(configuration_arrangement(ms, cfg),
+            for pts in region_sample_points(fraction_configuration_arrangement(ms, cfg),
                                             refinement).values()
             for p in pts
         ]

@@ -16,16 +16,27 @@ import random
 import time
 
 from oracles import (
+    Side,
     brute_force_unlabelled,
+    fraction_configuration_arrangement,
+    intersect,
+    mask_sides,
+    move_lines,
     naive_torus_count,
     naive_uncovered,
     random_arrangement,
     random_line_set,
+    region_representatives,
+    region_sample_points,
+    side_of,
+    sign_vector,
+    steiner_count,
 )
 
 from ridertypes.boards import SQUARE, TRIANGLE
 from ridertypes.census import (
     count_nonattacking,
+    count_sweep,
     fours_witness,
     geometric_census,
     random_census,
@@ -47,20 +58,7 @@ from ridertypes.formulas import (
     t3_closed_form,
     types_from_counts,
 )
-from ridertypes.geometry import (
-    Point,
-    Side,
-    configuration_arrangement,
-    intersect,
-    move_lines,
-    parse_moves,
-    point,
-    region_representatives,
-    region_sample_points,
-    side_of,
-    sign_vector,
-    steiner_count,
-)
+from ridertypes.geometry import Point, parse_moves, point
 from ridertypes.signature import Config, is_nonattacking, labelled_type, reorient_type
 
 QUEEN = parse_moves(PIECES["queen"])
@@ -211,9 +209,16 @@ def test_criterion_7_reciprocity():
             expected = 1 if q == 1 else (r if q == 2 else t3_closed_form(r))
             assert unlabelled == expected, (str(ms), q, period)
             assert labelled == math.factorial(q) * expected
+    # a third route to the 3-move theorem's 151 at q = 4, with no primes: the
+    # semiqueen's counts on the square up to n = 24, whose period is found
+    data = list(count_sweep(SEMIQUEEN, SQUARE, 4, range(1, 25)))
+    period = find_period(data, 8)
+    assert period == 2
+    assert types_from_counts(data, period, 4) == (3624, 151)
     report("criterion 7", True,
            "counting quasipolynomials evaluated at n=-1 reproduce the type "
-           "counts for q <= 3, r <= 4 (periods found and verified on surplus points)")
+           "counts for q <= 3, r <= 4, and 151 for the semiqueen at q = 4 "
+           "(periods found and verified on surplus points)")
 
 
 def test_criterion_8a_queen_witness():
@@ -258,11 +263,11 @@ def test_criterion_8b_three_move_witnesses_absent_as_stated():
     for ms in (SEMIQUEEN, TRIDENT, THIRD_R3):
         w = fours_witness(ms)
         assert w is not None, f"{ms}: no witness"
-        arr12 = configuration_arrangement(ms, (w.p1, w.p2))
+        arr12 = fraction_configuration_arrangement(ms, (w.p1, w.p2))
         assert sign_vector(arr12, w.p3_a) == sign_vector(arr12, w.p3_b) \
-            == w.region_signature, str(ms)
+            == mask_sides(w.region_signature, arr12.k), str(ms)
         for p3 in (w.p3_a, w.p3_b):
-            arr = configuration_arrangement(ms, (w.p1, w.p2, p3))
+            arr = fraction_configuration_arrangement(ms, (w.p1, w.p2, p3))
             assert len(region_representatives(arr)) == steiner_count(arr), (str(ms), p3)
         ra = _reachable_keys(ms, (w.p1, w.p2, w.p3_a))
         rb = _reachable_keys(ms, (w.p1, w.p2, w.p3_b))

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import contains_open
+
 from ridertypes.boards import (
     Board,
     SQUARE,
     TRIANGLE,
-    contains_open,
     lattice_points,
     parse_board,
 )

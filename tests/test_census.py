@@ -11,7 +11,16 @@ import math
 
 import pytest
 
-from oracles import brute_force_grid_types, brute_force_labelled, labelled_geometric_types
+from oracles import (
+    brute_force_grid_types,
+    brute_force_labelled,
+    fraction_configuration_arrangement,
+    labelled_geometric_types,
+    mask_sides,
+    region_representatives,
+    sign_vector,
+    steiner_count,
+)
 
 from ridertypes.boards import SQUARE, TRIANGLE, board_sweep, lattice_points, parse_board
 from ridertypes.census import (
@@ -34,14 +43,7 @@ from ridertypes.census import (
 )
 from ridertypes.cli import PIECES, family_movesets
 from ridertypes.formulas import t3_closed_form
-from ridertypes.geometry import (
-    configuration_arrangement,
-    parse_moves,
-    point,
-    region_representatives,
-    sign_vector,
-    steiner_count,
-)
+from ridertypes.geometry import parse_moves, point
 from ridertypes.signature import LabelledType
 
 QUEEN = parse_moves("1,0;0,1;1,1;1,-1")
@@ -326,11 +328,12 @@ def test_fours_witness_queen_found_and_valid():
     w = fours_witness(QUEEN)
     assert w is not None
     # both probes sit in the same region of the two-piece arrangement
-    arr12 = configuration_arrangement(QUEEN, (w.p1, w.p2))
-    assert sign_vector(arr12, w.p3_a) == sign_vector(arr12, w.p3_b) == w.region_signature
+    arr12 = fraction_configuration_arrangement(QUEEN, (w.p1, w.p2))
+    assert sign_vector(arr12, w.p3_a) == sign_vector(arr12, w.p3_b) \
+        == mask_sides(w.region_signature, arr12.k)
     # both reachable-set enumerations are complete, yet differ
     for p3 in (w.p3_a, w.p3_b):
-        arr = configuration_arrangement(QUEEN, (w.p1, w.p2, p3))
+        arr = fraction_configuration_arrangement(QUEEN, (w.p1, w.p2, p3))
         assert len(region_representatives(arr)) == steiner_count(arr)
     ra = _reachable_keys(QUEEN, (w.p1, w.p2, w.p3_a))
     rb = _reachable_keys(QUEEN, (w.p1, w.p2, w.p3_b))
@@ -354,9 +357,9 @@ def test_witness_checks_flag_broken_witnesses():
     for ms in (QUEEN, SEMIQUEEN, NIGHTRIDER):
         w = fours_witness(ms)
         assert all(witness_checks(ms, w).values()), str(ms)
-        arr12 = configuration_arrangement(ms, (w.p1, w.p2))
+        arr12 = fraction_configuration_arrangement(ms, (w.p1, w.p2))
         elsewhere = next(p for p in region_representatives(arr12)
-                         if sign_vector(arr12, p) != w.region_signature)
+                         if sign_vector(arr12, p) != mask_sides(w.region_signature, arr12.k))
         on_locus = point((w.p3_a.x + w.p3_b.x) / 2, (w.p3_a.y + w.p3_b.y) / 2)
         far = w.p3_a.translated(64 * (w.p3_b.x - w.p3_a.x), 64 * (w.p3_b.y - w.p3_a.y))
         shared = min(_reachable_keys(ms, (w.p1, w.p2, w.p3_a))

@@ -384,6 +384,36 @@ def test_ff_semiqueen_q5_matches_golden(tmp_path, capsys):
         assert len(value) == window_size(5) == 9
 
 
+# chi of the q = 6 configuration arrangement, ascending coefficients, as
+# `types --engine ff --q 6 --check` fits it at the 11 primes 11..47 (9
+# fitted, 2 held out): the semiqueen's gives Kotesovec's starred 31709 types
+# and the queens' the queen-only 501552, each in about 5 min on two workers
+Q6_CHI = {
+    SEMIQUEEN: [0, 0, 2397600, -6466680, 7155532, -4462170, 1773510, -475290,
+                87682, -11055, 915, -45, 1],
+    QUEEN: [0, 0, 65604720, -134523360, 102638238, -43747560, 12016755,
+            -2260620, 297361, -27120, 1645, -60, 1],
+}
+
+
+def test_q6_torus_counts_match_the_recorded_chi():
+    for ms, chi in Q6_CHI.items():
+        def at(t):
+            return sum(c * t ** k for k, c in enumerate(chi))
+
+        assert at(-1) == math.factorial(6) * known_types(6, ms.r)[0], str(ms)
+        # chi = t^2 (t - 1) g with g monic of degree 9, the form `char_poly`
+        # fits: divide t^2 out, then t - 1 by synthetic division
+        assert chi[:2] == [0, 0], str(ms)
+        g = [chi[-1]]
+        for c in reversed(chi[3:-1]):
+            g.append(c + g[-1])
+        assert chi[2] + g[-1] == 0, str(ms)
+        assert len(g) == 10 and g[0] == 1, str(ms)
+        for p in (11, 13, 17):
+            assert torus_count(ms, 6, p) == at(p), (str(ms), p)
+
+
 def test_ff_accepts_precomputed_counts(monkeypatch):
     primes = valid_primes_from(TRIDENT, 11, window_size(2))
     counts = {p: torus_count(TRIDENT, 2, p) for p in primes}

@@ -1,6 +1,7 @@
 """Exact-geometry unit tests: predicates, Steiner counts, slab sampling,
-linear maps.  Randomized properties run here at reduced volume; the full
-volumes live in the acceptance suite."""
+linear maps.  The integer line triples are checked against the `Fraction`
+line layer of `oracles`.  Randomized properties run here at reduced volume;
+the full volumes live in the acceptance suite."""
 
 from __future__ import annotations
 
@@ -12,9 +13,20 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    OrientedLine,
+    Side,
+    arrangement,
+    fraction_configuration_arrangement,
     fraction_region_sample_points,
+    intersect,
+    mask_sides,
     random_arrangement,
     random_rational_arrangement,
+    region_representatives,
+    region_sample_points,
+    sign_vector,
+    side_of,
+    steiner_count,
 )
 
 from ridertypes.geometry import (
@@ -22,23 +34,17 @@ from ridertypes.geometry import (
     GeometryError,
     LinearMap,
     MoveSet,
-    OrientedLine,
     Point,
-    Side,
-    arrangement,
     configuration_arrangement,
+    crossing,
     frame_map,
-    intersect,
     parse_moves,
     parse_point,
     parse_rational,
     point,
-    region_representatives,
-    region_sample_points,
-    sign_vector,
-    side_of,
+    point_mask,
+    region_count,
     slope_correspondence_map,
-    steiner_count,
 )
 
 QUEEN = parse_moves("1,0;0,1;1,1;1,-1")
@@ -122,13 +128,68 @@ def test_steiner_concurrent_pencils():
 
 def test_steiner_two_piece_arrangement():
     # k = 6 lines, two 3-fold points at the pieces, 6 simple crossings: 17
-    arr = configuration_arrangement(TRI, (point(0, 0), point(5, 1)))
-    assert steiner_count(arr) == 17
+    pieces = (point(0, 0), point(5, 1))
+    assert steiner_count(fraction_configuration_arrangement(TRI, pieces)) == 17
+    assert region_count(configuration_arrangement(TRI, pieces)) == 17
 
 
 def test_steiner_duplicate_line_rejected():
     with pytest.raises(GeometryError):
         arrangement([horizontal(), OrientedLine(point(3, 0), BasicMove(-1, 0))])
+    # the integer arrangement checks the unoriented keys: (3, 0) attacks (0, 0)
+    with pytest.raises(GeometryError, match="duplicate line"):
+        configuration_arrangement(TRI, (point(0, 0), point(3, 0)))
+
+
+def test_configuration_arrangement_is_the_pencils_triples():
+    rng = random.Random(606)
+    for ms in (QUEEN, TRI, parse_moves("1,2;-3,1;2,5")):
+        pieces = [point(0, 0)]
+        while len(pieces) < 3:
+            p = point(Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
+                      Fraction(rng.randint(-40, 40), rng.randint(1, 9)))
+            try:
+                want = fraction_configuration_arrangement(ms, pieces + [p])
+            except GeometryError:
+                continue
+            pieces.append(p)
+            got = configuration_arrangement(ms, pieces)
+            assert got == [ln.int_coefficients() for ln in want.lines], str(ms)
+
+
+def test_crossing_matches_fraction_intersect():
+    rng = random.Random(5150)
+    for _ in range(150):
+        arr = random_rational_arrangement(rng, max_lines=4, max_den=9)
+        triples = [ln.int_coefficients() for ln in arr.lines]
+        for i, j in itertools.combinations(range(arr.k), 2):
+            x, y, det = crossing(triples[i], triples[j])
+            want = intersect(arr.lines[i], arr.lines[j])
+            assert det >= 0
+            if want is None:
+                assert det == 0
+            else:
+                assert det and Point(Fraction(x, det), Fraction(y, det)) == want
+
+
+def test_point_mask_matches_fraction_sign_vector():
+    # points on a grid of small denominators land on lines too: None there
+    rng = random.Random(1701)
+    on_a_line = 0
+    for _ in range(200):
+        arr = random_arrangement(rng)
+        triples = [ln.int_coefficients() for ln in arr.lines]
+        for _ in range(10):
+            p = point(Fraction(rng.randint(-12, 12), rng.randint(1, 3)),
+                      Fraction(rng.randint(-12, 12), rng.randint(1, 3)))
+            sides = sign_vector(arr, p)
+            mask = point_mask(triples, p)
+            if Side.ON in sides:
+                assert mask is None
+                on_a_line += 1
+            else:
+                assert mask_sides(mask, arr.k) == sides
+    assert on_a_line > 50
 
 
 def test_sign_vector_basics():
@@ -151,22 +212,25 @@ def test_representatives_two_crossing():
 
 
 def test_representatives_match_steiner_on_two_piece_arrangement():
-    arr = configuration_arrangement(TRI, (point(0, 0), point(5, 1)))
+    arr = fraction_configuration_arrangement(TRI, (point(0, 0), point(5, 1)))
     assert len(region_representatives(arr)) == steiner_count(arr)
 
 
 def test_representatives_equal_steiner_randomized():
+    # ~30% are pencils, whose crossing the integer count must take with its
+    # multiplicity
     rng = random.Random(20240817)
     for _ in range(150):
         arr = random_arrangement(rng)
         regions = region_sample_points(arr, 1)
         assert len(regions) == steiner_count(arr)
+        assert region_count([ln.int_coefficients() for ln in arr.lines]) == len(regions)
         for sv in regions:
             assert Side.ON not in sv
 
 
 def test_region_sample_points_multiple_per_region():
-    arr = configuration_arrangement(TRI, (point(0, 0), point(5, 1)))
+    arr = fraction_configuration_arrangement(TRI, (point(0, 0), point(5, 1)))
     samples = region_sample_points(arr, 3)
     assert len(samples) == 17
     assert all(1 <= len(pts) <= 3 for pts in samples.values())

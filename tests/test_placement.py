@@ -6,10 +6,11 @@ from __future__ import annotations
 import itertools
 import random
 
-from ridertypes.boards import SQUARE, TRIANGLE, lattice_points
+from ridertypes.boards import SQUARE, TRIANGLE, board_sweep, lattice_points
 from ridertypes.finitefield import valid_prime
 from ridertypes.geometry import parse_moves
 from ridertypes.placement import (
+    grow_line_masks,
     line_masks,
     nonattacking_sets,
     pair_count,
@@ -136,3 +137,20 @@ def test_nonattacking_sets_on_board_subsets():
                 cells = lattice_points(board, n)
                 _lines, stars = line_masks(ms, cells)
                 check_nonattacking_sets(rng, ms, cells, stars.__getitem__)
+
+
+def test_board_stars_hold_only_the_attacked_cells_below():
+    # each star is exactly the cells below its own that it attacks, by brute
+    # force, whether built at once or grown order by order across a sweep
+    for ms in MOVESETS:
+        for board in (SQUARE, TRIANGLE):
+            groups, grown = [{} for _ in ms.moves], []
+            for n, cells, start in board_sweep(board, range(1, 8)):
+                grow_line_masks(ms, cells, start, groups, grown)
+                _lines, stars = line_masks(ms, cells)
+                assert grown == stars, (str(ms), n)
+                for i, star in enumerate(stars):
+                    assert star >> i == 0, (str(ms), n, i)
+                    want = sum(1 << k for k in range(i)
+                               if brute_pairs(ms, [cells[i], cells[k]]) == 0)
+                    assert star == want, (str(ms), n, i)

@@ -11,11 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import cone_of
+from oracles import cone_of, move_lines
 
 from ridertypes.cli import PIECES, family_movesets
 from ridertypes.geometry import (
-    ORIGIN, GeometryError, MoveSet, Point, move_lines, parse_moves, point,
+    ORIGIN, GeometryError, MoveSet, Point, parse_moves, point,
     region_masks,
 )
 from ridertypes.signature import (
