@@ -264,9 +264,12 @@ def cmd_count(args) -> int:
         lo, hi = args.n_range
         orders = range(lo, hi + 1)
     lattice_points(board, orders[-1])  # a board past MAX_CELLS exits 2 before any count
-    bfile_text = _read_text(args.bfile) if args.bfile else None
-    if args.bfile and bfile_text is None:
-        return EXIT_USAGE
+    reference = None
+    if args.bfile:  # a missing or malformed b-file exits 2 before any count
+        bfile_text = _read_text(args.bfile)
+        if bfile_text is None:
+            return EXIT_USAGE
+        reference = dict(parse_bfile(bfile_text))
     rows = []
     for n, labelled in count_sweep(ms, board, args.q, orders):
         unlabelled = labelled // math.factorial(args.q)
@@ -277,9 +280,7 @@ def cmd_count(args) -> int:
         "q": args.q, "rows": rows,
     }
     exit_code = EXIT_OK
-    if args.bfile:
-        data = parse_bfile(bfile_text)
-        reference = dict(data)
+    if reference is not None:
         comparisons = []
         for row in rows:
             if row["n"] in reference:

@@ -20,9 +20,10 @@ from typing import Callable
 from .geometry import GeometryError, MoveSet, crossing, frame_map
 from .placement import count_sets, torus_line_masks
 
-# Largest prime the engine counts over.  `torus_count` holds p line masks of
-# p^2 bits for each of the r moves, r * p^3 bits in all: under 13 MB for
-# r <= 6 at p = 257.  A floor above it is rejected before any prime search.
+# Largest prime the engine counts over.  At q = 2, 3 and q >= 5
+# `torus_count` holds p line masks of p^2 bits for each of the r moves,
+# r * p^3 bits in all: under 13 MB for r <= 6 at p = 257 (q = 4 builds no
+# masks).  A floor above it is rejected before any prime search.
 MAX_PRIME = 257
 
 # Primes counted beyond the 2q - 3 that interpolation needs; the polynomial
@@ -189,6 +190,74 @@ def direction_orbits(ms: MoveSet, p: int) -> dict[int, int]:
     return orbits
 
 
+def pinned_pair_count(ms: MoveSet, p: int, weights: dict[int, int]) -> int:
+    """Sum over the cells P of `weights` of weight * the ordered pairs of
+    distinct, nonattacking cells of F_p x F_p that attack neither the origin
+    O nor P, where each P is a direction cell, (0, 1) or (1, t), off the move
+    lines of O: pieces 3 and 4 of `torus_count` at q = 4, with no masks.
+
+    The ordered pairs inside a cell set A number |A|^2 - sum_l |A & l|^2 +
+    (r - 1)|A| (`placement.pair_count`), l over the p lines of each move.
+    Here A is the complement of the stars of O and P, each the r lines
+    through its cell, r(p - 1) + 1 cells.  The two stars meet only in the
+    crossings X_ab of O's line of move a with P's line of move b, a != b: for
+    a = b the lines are parallel and distinct, as P is on no line of O, and
+    two crossings coincide only if a = a' (else the point is O, on no line
+    of P) and b = b' (likewise).  So the r(r - 1) crossings are distinct and
+
+        |A| = p^2 - 2r(p - 1) - 2 + r(r - 1).
+
+    A line l of move j through O or P lies inside a star, |A & l| = 0.  Any
+    other l meets each of the r - 1 lines of O of the other moves once, in
+    r - 1 distinct points (they meet each other only at O), and is parallel
+    to O's line of move j; likewise for P.  Those 2(r - 1) points count
+    each crossing X_ab on l twice, and none has a = j (it is on O's line of
+    move j) or b = j (on P's), so
+
+        |A & l| = p - 2r + 2 + m_l,
+
+    m_l being the number of crossings X_ab with a, b != j on l.  Each of
+    those (r - 1)(r - 2) crossings lies on exactly one line of move j, never
+    the one through O (it would meet O's line of move a at O) or P, so the
+    m_l of the p - 2 other lines sum to (r - 1)(r - 2), and with
+    k = p - 2r + 2 move j gives
+
+        sum_l |A & l|^2 = (p - 2) k^2 + 2k (r - 1)(r - 2) + sum_l m_l^2.
+
+    Only the last term depends on P: the histogram of the keys of move j's
+    lines through the crossings.  The key of move j, K_j(x, y) = d_j x -
+    c_j y, is the linear form mu K_a + lambda K_b with lambda =
+    cross(a, j) / cross(a, b), cross(u, v) = c_u d_v - d_u c_v (evaluate
+    both sides at move a's direction (c_a, d_a), where K_a vanishes).  X_ab
+    has K_a = 0 and K_b = K_b(P), so its key of move j is lambda K_b(P).
+    A histogram of those keys per move gives every m_l: O(r^3) integer
+    work per cell.  A valid prime divides no cross(a, b).
+    """
+    r = ms.r
+    moves = [(m.c, m.d) for m in ms.moves]
+    cross = [[cu * dv - du * cv for cv, dv in moves] for cu, du in moves]
+    free = p * p - 2 * r * (p - 1) - 2 + r * (r - 1)
+    k = p - 2 * r + 2
+    fixed = free * free + (r - 1) * free - r * ((p - 2) * k * k + 2 * k * (r - 1) * (r - 2))
+    # per move j: (b, lambda) of each crossing X_ab with a, b != j
+    ratios = [[(b, cross[a][j] * pow(cross[a][b], -1, p) % p)
+               for a, b in itertools.permutations(range(r), 2) if j not in (a, b)]
+              for j in range(r)]
+    total = 0
+    for cell, size in weights.items():
+        x, y = divmod(cell, p)
+        at_p = [d * x - c * y for c, d in moves]
+        squares = 0
+        for own in ratios:
+            m: dict[int, int] = {}  # line key -> m_l
+            for b, lam in own:
+                key = lam * at_p[b] % p
+                m[key] = m.get(key, 0) + 1
+            squares += sum(n * n for n in m.values())
+        total += size * (fixed - squares)
+    return total
+
+
 def torus_count(ms: MoveSet, q: int, p: int) -> int:
     """Number of ordered q-tuples over F_p x F_p with no piece on a move line
     of another.
@@ -197,10 +266,12 @@ def torus_count(ms: MoveSet, q: int, p: int) -> int:
     and piece 2 runs over scaling-orbit representatives, one per direction of
     the projective line (factor p - 1): the attack conditions are homogeneous,
     so simultaneous scaling is a free symmetry once piece 1 is at the origin.
-    Pieces 3..q are counted as sets by the bitmask core of `placement` (each
-    set stands for (q - 2)! orderings), the last two of them in closed form.
-    Cell (x, y) is bit x*p + y, and each move (c, d) has p lines, keyed by
-    d*x - c*y mod p.
+    Pieces 3..q are counted as sets (each set stands for (q - 2)!
+    orderings), the last two of them in closed form.  At q = 4 those are
+    pieces 3 and 4, counted from the crossings of the two pinned stars by
+    `pinned_pair_count`.  At q = 2, 3 and q >= 5 the bitmask core of
+    `placement` counts them on line masks, built only there: cell (x, y) is
+    bit x*p + y, and each move (c, d) has p lines, keyed by d*x - c*y mod p.
 
     For q >= 4 piece 2 runs over one direction per orbit of
     `direction_group`, weighted by the orbit's size.  A map A of the group
@@ -221,18 +292,21 @@ def torus_count(ms: MoveSet, q: int, p: int) -> int:
     if q == 1:
         return p * p
 
-    lines, star = torus_line_masks(ms, p)
-    avail = ((1 << (p * p)) - 1) & ~star(0)
-    if q >= 4:
-        weights = direction_orbits(ms, p)
+    if q == 4:
+        subtotal = pinned_pair_count(ms, p, direction_orbits(ms, p)) // 2
     else:
-        # representatives (0, 1) and (1, t) of the directions; those on a
-        # move line of the origin are not available
-        weights = {i: 1 for i in (1, *range(p, 2 * p)) if avail >> i & 1}
-    subtotal = sum(
-        size * count_sets(avail & ~star(i), q - 2, lines, ms.r, star)
-        for i, size in weights.items()
-    )
+        lines, star = torus_line_masks(ms, p)
+        avail = ((1 << (p * p)) - 1) & ~star(0)
+        if q >= 5:
+            weights = direction_orbits(ms, p)
+        else:
+            # representatives (0, 1) and (1, t) of the directions; those on
+            # a move line of the origin are not available
+            weights = {i: 1 for i in (1, *range(p, 2 * p)) if avail >> i & 1}
+        subtotal = sum(
+            size * count_sets(avail & ~star(i), q - 2, lines, ms.r, star)
+            for i, size in weights.items()
+        )
     count = p * p * (p - 1) * math.factorial(q - 2) * subtotal
     assert valid_torus_count(q, p, count)
     return count

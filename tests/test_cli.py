@@ -769,6 +769,20 @@ def test_count_missing_bfile_is_usage_error(tmp_path, capsys):
     assert "cannot read" in err and "Traceback" not in err
 
 
+def test_count_malformed_bfile_exits_before_counting(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("count_sweep called before the b-file was parsed")
+
+    monkeypatch.setattr(cli, "count_sweep", no_sweep)
+    bfile = tmp_path / "dup.txt"
+    bfile.write_text("1 0\n1 0\n")
+    code, out, err = run_cli(capsys, "count", "--moves", "queen", "--q", "2",
+                             "--n", "3", "--bfile", str(bfile))
+    assert code == 2
+    assert out == ""
+    assert "line 2: duplicate index 1" in err and "Traceback" not in err
+
+
 def test_fit_two_queens(tmp_path, capsys):
     rows = [(n, brute_queen_pairs_unlabelled(n)) for n in range(1, 9)]
     data = tmp_path / "queens2.txt"

@@ -57,6 +57,29 @@ ORBIT_CASES = (
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 
+def _random_riders(rng, count):
+    # `count` riders of 1, 2, ..., 6, 1, ... moves (c, d) with |c|, |d| <= 9
+    riders = []
+    while len(riders) < count:
+        moves = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(len(riders) % 6 + 1)]
+        try:
+            riders.append(parse_moves(";".join(f"{c},{d}" for c, d in moves)))
+        except GeometryError:  # a zero, non-primitive or parallel move
+            pass
+    return riders
+
+
+# q = 4, where `pinned_pair_count` counts pieces 3 and 4: the named pieces,
+# the generic 4-move rider, the family sets for r = 1..6 and seeded random
+# riders, over every valid prime up to 59
+Q4_CASES = (
+    [parse_moves(text) for text in PIECES.values()] + [parse_moves("1,0;0,1;1,1;1,3")]
+    + [ms for r in range(1, 7) for ms in family_movesets(r)]
+    + _random_riders(random.Random(20261021), 30)
+)
+Q4_PRIMES = [p for p in range(60) if is_prime(p)]
+
+
 def test_prime_helpers():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
@@ -141,11 +164,31 @@ def test_weighted_torus_count_matches_one_direction_each():
         for p in SMALL_PRIMES:
             if not valid_prime(ms, p):
                 continue
-            for q in (2, 3, 4, 5):
+            for q in (2, 3, 5):
                 if q == 5 and p > 13:
                     continue
                 assert torus_count(ms, q, p) == unweighted_torus_count(ms, q, p), \
                     (str(ms), q, p)
+    pairs = 0
+    for ms in Q4_CASES:
+        for p in Q4_PRIMES:
+            if valid_prime(ms, p):
+                assert torus_count(ms, 4, p) == unweighted_torus_count(ms, 4, p), (str(ms), p)
+                pairs += 1
+    assert pairs > 900
+
+
+def test_torus_count_q4_builds_no_line_masks(monkeypatch):
+    def no_masks(ms, p):
+        raise AssertionError("torus_line_masks called at q = 4")
+
+    monkeypatch.setattr(finitefield, "torus_line_masks", no_masks)
+    for ms in ORBIT_CASES:
+        for p in (11, 13, 29):
+            if valid_prime(ms, p):
+                assert valid_torus_count(4, p, torus_count(ms, 4, p)), (str(ms), p)
+    with pytest.raises(AssertionError):
+        torus_count(QUEEN, 3, 11)  # q = 3 still counts on the masks
 
 
 def _direction(x, y, p):
