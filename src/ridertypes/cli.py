@@ -450,9 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--moves", required=True)
     p_count.add_argument("--q", type=_positive_int, default=1)
     p_count.add_argument("--board", default="square")
-    p_count.add_argument("--n", type=int, default=None)
-    p_count.add_argument("--n-range", type=_parse_range, default=None,
-                         metavar="LO:HI")
+    orders = p_count.add_mutually_exclusive_group(required=True)
+    orders.add_argument("--n", type=int, default=None)
+    orders.add_argument("--n-range", type=_parse_range, default=None, metavar="LO:HI")
     p_count.add_argument("--bfile", default=None,
                          help="compare against a local OEIS b-file")
     p_count.add_argument("--bfile-kind", choices=("labelled", "unlabelled"),
@@ -509,9 +509,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     # the environment is read per call, as it may change; an empty value is unset
     args.cache_dir = args.cache_dir or os.environ.get("RIDERTYPES_CACHE") or None
-    if args.command == "count" and args.n is None and args.n_range is None:
-        _log("count needs --n or --n-range")
-        return EXIT_USAGE
     try:
         return args.func(args)
     except (GeometryError, OSError) as exc:  # OSError: an unwritable -o or cache path

@@ -20,10 +20,10 @@ from typing import Callable
 from .geometry import GeometryError, MoveSet, crossing, frame_map
 from .placement import count_sets, torus_line_masks
 
-# Largest prime the engine counts over.  At q = 2, 3 and q >= 5
-# `torus_count` holds p line masks of p^2 bits for each of the r moves,
-# r * p^3 bits in all: under 13 MB for r <= 6 at p = 257 (q = 4 builds no
-# masks).  A floor above it is rejected before any prime search.
+# Largest prime the engine counts over.  At q >= 5 `torus_count` holds p
+# line masks of p^2 bits for each of the r moves, r * p^3 bits in all:
+# under 13 MB for r <= 6 at p = 257 (q <= 4 builds no masks).  The ceiling
+# holds at every q.  A floor above it is rejected before any prime search.
 MAX_PRIME = 257
 
 # Primes counted beyond the 2q - 3 that interpolation needs; the polynomial
@@ -190,22 +190,30 @@ def direction_orbits(ms: MoveSet, p: int) -> dict[int, int]:
     return orbits
 
 
-def pinned_pair_count(ms: MoveSet, p: int, weights: dict[int, int]) -> int:
-    """Sum over the cells P of `weights` of weight * the ordered pairs of
-    distinct, nonattacking cells of F_p x F_p that attack neither the origin
-    O nor P, where each P is a direction cell, (0, 1) or (1, t), off the move
-    lines of O: pieces 3 and 4 of `torus_count` at q = 4, with no masks.
+def pinned_count(ms: MoveSet, p: int, q: int) -> int:
+    """`torus_count`'s subtotal at q = 2, 3 or 4, with no masks: with piece
+    1 at the origin O, the sum over the direction cells P, (0, 1) or (1, t),
+    off the move lines of O, of the sets of q - 2 distinct, nonattacking
+    cells of F_p x F_p that attack neither O nor P.
 
-    The ordered pairs inside a cell set A number |A|^2 - sum_l |A & l|^2 +
-    (r - 1)|A| (`placement.pair_count`), l over the p lines of each move.
-    Here A is the complement of the stars of O and P, each the r lines
-    through its cell, r(p - 1) + 1 cells.  The two stars meet only in the
-    crossings X_ab of O's line of move a with P's line of move b, a != b: for
-    a = b the lines are parallel and distinct, as P is on no line of O, and
-    two crossings coincide only if a = a' (else the point is O, on no line
-    of P) and b = b' (likewise).  So the r(r - 1) crossings are distinct and
+    At q = 2 that is the number of such P, p + 1 - r.  Otherwise let A be
+    the complement of the stars of O and P, each the r lines through its
+    cell, r(p - 1) + 1 cells.  The two stars meet only in the crossings X_ab
+    of O's line of move a with P's line of move b, a != b: for a = b the
+    lines are parallel and distinct, as P is on no line of O, and two
+    crossings coincide only if a = a' (else the point is O, on no line of P)
+    and b = b' (likewise).  So the r(r - 1) crossings are distinct and
 
-        |A| = p^2 - 2r(p - 1) - 2 + r(r - 1).
+        |A| = p^2 - 2r(p - 1) - 2 + r(r - 1) = (p - r)^2 + r - 2,
+
+    whatever P is.  At q = 3 the subtotal is (p + 1 - r)|A|, so the torus
+    count is chi_3(p), chi_3(t) = t^2 (t - 1)(t + 1 - r)((t - r)^2 + r - 2),
+    and chi_3(-1) / 3! = r(r^2 + 3r - 1) / 3, the paper's t(3).
+
+    At q = 4, P runs over the `direction_orbits`, weighted by orbit size
+    (see `torus_count`), and the subtotal is half the ordered pairs inside
+    A.  They number |A|^2 - sum_l |A & l|^2 + (r - 1)|A|
+    (`placement.pair_count`), l over the p lines of each move.
 
     A line l of move j through O or P lies inside a star, |A & l| = 0.  Any
     other l meets each of the r - 1 lines of O of the other moves once, in
@@ -234,9 +242,13 @@ def pinned_pair_count(ms: MoveSet, p: int, weights: dict[int, int]) -> int:
     work per cell.  A valid prime divides no cross(a, b).
     """
     r = ms.r
+    if q == 2:
+        return p + 1 - r
+    free = p * p - 2 * r * (p - 1) - 2 + r * (r - 1)
+    if q == 3:
+        return (p + 1 - r) * free
     moves = [(m.c, m.d) for m in ms.moves]
     cross = [[cu * dv - du * cv for cv, dv in moves] for cu, du in moves]
-    free = p * p - 2 * r * (p - 1) - 2 + r * (r - 1)
     k = p - 2 * r + 2
     fixed = free * free + (r - 1) * free - r * ((p - 2) * k * k + 2 * k * (r - 1) * (r - 2))
     # per move j: (b, lambda) of each crossing X_ab with a, b != j
@@ -244,7 +256,7 @@ def pinned_pair_count(ms: MoveSet, p: int, weights: dict[int, int]) -> int:
                for a, b in itertools.permutations(range(r), 2) if j not in (a, b)]
               for j in range(r)]
     total = 0
-    for cell, size in weights.items():
+    for cell, size in direction_orbits(ms, p).items():
         x, y = divmod(cell, p)
         at_p = [d * x - c * y for c, d in moves]
         squares = 0
@@ -255,7 +267,7 @@ def pinned_pair_count(ms: MoveSet, p: int, weights: dict[int, int]) -> int:
                 m[key] = m.get(key, 0) + 1
             squares += sum(n * n for n in m.values())
         total += size * (fixed - squares)
-    return total
+    return total // 2
 
 
 def torus_count(ms: MoveSet, q: int, p: int) -> int:
@@ -267,10 +279,9 @@ def torus_count(ms: MoveSet, q: int, p: int) -> int:
     the projective line (factor p - 1): the attack conditions are homogeneous,
     so simultaneous scaling is a free symmetry once piece 1 is at the origin.
     Pieces 3..q are counted as sets (each set stands for (q - 2)!
-    orderings), the last two of them in closed form.  At q = 4 those are
-    pieces 3 and 4, counted from the crossings of the two pinned stars by
-    `pinned_pair_count`.  At q = 2, 3 and q >= 5 the bitmask core of
-    `placement` counts them on line masks, built only there: cell (x, y) is
+    orderings).  At q <= 4 `pinned_count` counts them from the two pinned
+    stars, with no masks.  At q >= 5 the bitmask core of `placement`
+    counts them on line masks, the last two in closed form: cell (x, y) is
     bit x*p + y, and each move (c, d) has p lines, keyed by d*x - c*y mod p.
 
     For q >= 4 piece 2 runs over one direction per orbit of
@@ -280,8 +291,7 @@ def torus_count(ms: MoveSet, q: int, p: int) -> int:
     a move direction.  So A, and A^-1 likewise, maps nonattacking tuples
     with piece 1 at the origin to nonattacking tuples with piece 1 at the
     origin: a bijection, which sends piece 2's direction d to A*d.  Hence
-    every direction of an orbit has the same count.  At q <= 3 the work per
-    direction is at most a popcount, less than finding the orbits costs.
+    every direction of an orbit has the same count.
     """
     if q < 1:
         raise GeometryError("need q >= 1")
@@ -292,20 +302,14 @@ def torus_count(ms: MoveSet, q: int, p: int) -> int:
     if q == 1:
         return p * p
 
-    if q == 4:
-        subtotal = pinned_pair_count(ms, p, direction_orbits(ms, p)) // 2
+    if q <= 4:
+        subtotal = pinned_count(ms, p, q)
     else:
         lines, star = torus_line_masks(ms, p)
         avail = ((1 << (p * p)) - 1) & ~star(0)
-        if q >= 5:
-            weights = direction_orbits(ms, p)
-        else:
-            # representatives (0, 1) and (1, t) of the directions; those on
-            # a move line of the origin are not available
-            weights = {i: 1 for i in (1, *range(p, 2 * p)) if avail >> i & 1}
         subtotal = sum(
             size * count_sets(avail & ~star(i), q - 2, lines, ms.r, star)
-            for i, size in weights.items()
+            for i, size in direction_orbits(ms, p).items()
         )
     count = p * p * (p - 1) * math.factorial(q - 2) * subtotal
     assert valid_torus_count(q, p, count)

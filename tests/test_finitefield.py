@@ -69,9 +69,9 @@ def _random_riders(rng, count):
     return riders
 
 
-# q = 4, where `pinned_pair_count` counts pieces 3 and 4: the named pieces,
-# the generic 4-move rider, the family sets for r = 1..6 and seeded random
-# riders, over every valid prime up to 59
+# q = 2, 3 and 4, where `pinned_count` counts pieces 3 to q from the two
+# pinned stars: the named pieces, the generic 4-move rider, the family sets
+# for r = 1..6 and seeded random riders, over every valid prime up to 59
 Q4_CASES = (
     [parse_moves(text) for text in PIECES.values()] + [parse_moves("1,0;0,1;1,1;1,3")]
     + [ms for r in range(1, 7) for ms in family_movesets(r)]
@@ -173,22 +173,25 @@ def test_weighted_torus_count_matches_one_direction_each():
     for ms in Q4_CASES:
         for p in Q4_PRIMES:
             if valid_prime(ms, p):
-                assert torus_count(ms, 4, p) == unweighted_torus_count(ms, 4, p), (str(ms), p)
+                for q in (2, 3, 4):
+                    assert torus_count(ms, q, p) == unweighted_torus_count(ms, q, p), \
+                        (str(ms), q, p)
                 pairs += 1
     assert pairs > 900
 
 
 def test_torus_count_q4_builds_no_line_masks(monkeypatch):
     def no_masks(ms, p):
-        raise AssertionError("torus_line_masks called at q = 4")
+        raise AssertionError("torus_line_masks called at q <= 4")
 
     monkeypatch.setattr(finitefield, "torus_line_masks", no_masks)
     for ms in ORBIT_CASES:
         for p in (11, 13, 29):
             if valid_prime(ms, p):
-                assert valid_torus_count(4, p, torus_count(ms, 4, p)), (str(ms), p)
+                for q in (2, 3, 4):
+                    assert valid_torus_count(q, p, torus_count(ms, q, p)), (str(ms), q, p)
     with pytest.raises(AssertionError):
-        torus_count(QUEEN, 3, 11)  # q = 3 still counts on the masks
+        torus_count(QUEEN, 5, 11)  # q = 5 still counts on the masks
 
 
 def _direction(x, y, p):
@@ -387,11 +390,18 @@ def test_ff_type_count_q3_closed_form():
         3: TRIDENT,
         4: QUEEN,
         5: parse_moves("1,0;0,1;1,1;1,-1;1,2"),
+        6: family_movesets(6)[0],
     }
     for r, ms in movesets.items():
         result = ff_type_count(ms, 3)
         assert result.unlabelled == t3_closed_form(r)
         assert result.labelled == 6 * result.unlabelled
+        # chi_3(t) = t^2 (t - 1)(t + 1 - r)((t - r)^2 + r - 2), ascending
+        chi = [0, 0, r * r + r - 2, -2 * r, 1]  # t^2 ((t - r)^2 + r - 2)
+        for root in (1, r - 1):  # times t - root
+            chi = [lo - root * hi for lo, hi in zip([0, *chi], [*chi, 0])]
+        assert list(result.poly.coefficients) == chi, r
+        assert result.poly(-1) == 6 * t3_closed_form(r)
 
 
 def test_ff_type_count_report():
