@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .geometry import GeometryError, Point, parse_rational, point
+from .geometry import GeometryError, Point, parse_point, point
 
 # Most lattice points a board's scaled bounding box may hold.  N cells cost
 # N*(N - 1)/2 bits of star masks, each held below its cell, in
@@ -121,11 +121,5 @@ def parse_board(text: str) -> Board:
     if text in NAMED_BOARDS:
         return NAMED_BOARDS[text]
     if text.startswith("poly:"):
-        vertices = []
-        for part in text[len("poly:"):].split(";"):
-            coords = part.strip().split(",")
-            if len(coords) != 2:
-                raise GeometryError(f"bad board vertex {part!r}")
-            vertices.append(Point(parse_rational(coords[0]), parse_rational(coords[1])))
-        return Board(tuple(vertices))
+        return Board(tuple(parse_point(part) for part in text[len("poly:"):].split(";")))
     raise GeometryError(f"unknown board spec {text!r}")

@@ -254,9 +254,9 @@ def stabilized_census(
     ms: MoveSet,
     board: Board,
     q: int,
-    n_start: int = 1,
-    n_max: int = 24,
-    window: int = 2,
+    n_start: int,
+    n_max: int,
+    window: int,
     confirm_size: int | None = None,
 ) -> tuple[Census, StabilizationReport]:
     """Grid censuses for growing n, one `grid_sweep`, until the type set

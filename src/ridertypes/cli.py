@@ -365,15 +365,14 @@ def verify_fours() -> list[dict]:
     return checks
 
 
+# Each verify suite by name, called with the cache directory; the parser's
+# choices are its keys.
+VERIFY_SUITES = {"table1": verify_table1, "thm-q3": verify_thm_q3,
+                 "thm-3move": verify_thm_3move, "fours": lambda _cache_dir: verify_fours()}
+
+
 def cmd_verify(args) -> int:
-    if args.name == "table1":
-        checks = verify_table1(args.cache_dir)
-    elif args.name == "thm-q3":
-        checks = verify_thm_q3(args.cache_dir)
-    elif args.name == "thm-3move":
-        checks = verify_thm_3move(args.cache_dir)
-    else:
-        checks = verify_fours()
+    checks = VERIFY_SUITES[args.name](args.cache_dir)
     passed = sum(1 for c in checks if c["pass"])
     report = {"command": "verify", "name": args.name, "checks": checks,
               "passed": passed, "total": len(checks)}
@@ -460,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.set_defaults(func=cmd_count)
 
     p_verify = sub.add_parser("verify", help="run a predefined cross-check suite")
-    p_verify.add_argument("name", choices=("table1", "thm-q3", "thm-3move", "fours"))
+    p_verify.add_argument("name", choices=VERIFY_SUITES)
     p_verify.set_defaults(func=cmd_verify)
 
     p_fit = sub.add_parser("fit", help="fit a counting quasipolynomial")

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .finitefield import interpolate
+from .finitefield import CharPoly, interpolate
 from .geometry import GeometryError, MoveSet
 
 
@@ -95,11 +95,7 @@ class QuasiPoly:
 
 def eval_quasipoly(qp: QuasiPoly, n: int) -> Fraction:
     """Exact value at any integer; n = -1 uses the class of period - 1."""
-    poly = qp.constituents[n % qp.period]
-    acc = Fraction(0)
-    for c in reversed(poly):
-        acc = acc * n + c
-    return acc
+    return CharPoly(qp.constituents[n % qp.period])(n)
 
 
 def fit_quasipoly(data: list[tuple[int, int]], period: int, degree: int) -> QuasiPoly:
@@ -129,16 +125,16 @@ def fit_quasipoly(data: list[tuple[int, int]], period: int, degree: int) -> Quas
             )
         base, surplus = pts[: degree + 1], pts[degree + 1:]
         nums, den = interpolate(base)
-        coeffs = [Fraction(n, den) for n in nums]
-        poly = QuasiPoly(1, (tuple(coeffs),))
+        coeffs = tuple(Fraction(n, den) for n in nums)
+        poly = CharPoly(coeffs)
         for n, value in surplus:
-            got = eval_quasipoly(poly, n)
+            got = poly(n)
             if got != value:
                 raise GeometryError(
                     f"surplus point n = {n} off the fit: expected {value}, "
                     f"fit gives {got} (residual {got - value})"
                 )
-        constituents.append(tuple(coeffs))
+        constituents.append(coeffs)
     return QuasiPoly(period, tuple(constituents))
 
 

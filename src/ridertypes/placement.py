@@ -15,27 +15,20 @@ from typing import Callable, Iterator, Sequence
 from .geometry import MoveSet
 
 
-def line_masks(ms: MoveSet, cells: Sequence[tuple[int, int]]
-               ) -> tuple[list[int], list[int]]:
-    """(lines, stars) for the cells of a board.
-
-    `lines` lists every move line that holds a cell, one-cell lines included,
-    so that the lines of each move partition the cells.  `stars[i]` is the
-    part of cell i's star below it, the cells below i that i attacks: all
-    that `nonattacking_sets` reads of it.
-    """
-    stars: list[int] = []
-    return grow_line_masks(ms, cells, 0, [{} for _ in ms.moves], stars), stars
-
-
 def grow_line_masks(ms: MoveSet, cells: Sequence[tuple[int, int]], start: int,
                     groups: list[dict[int, int]], stars: list[int]) -> list[int]:
-    """The lines of `line_masks` for `cells`, after putting the cells from
+    """The lines of a board holding `cells`, after putting the cells from
     `start` on: `groups[j]`, the masks of move j's lines by key, holds the
-    cells below `start`, and `stars` their stars, as in `line_masks`.  Both
-    grow in place.  A star holds only cells below its own, so N stars hold
-    N*(N - 1)/2 bits at most, and the new cells, which lie above every old
-    one, leave the old stars as they are.
+    cells below `start`, and `stars` their stars.  Both grow in place; from
+    start 0, `groups` starts as one empty dict per move and `stars` empty.
+
+    The lines returned are every move line that holds a cell, one-cell lines
+    included, so that the lines of each move partition the cells.
+    `stars[i]` is the part of cell i's star below it, the cells below i that
+    i attacks: all that `nonattacking_sets` reads of it.  A star holds only
+    cells below its own, so N stars hold N*(N - 1)/2 bits at most, and the
+    new cells, which lie above every old one, leave the old stars as they
+    are.
     """
     keyed = [[m.d * x - m.c * y for x, y in cells[start:]] for m in ms.moves]
     for own, keys in zip(groups, keyed):
@@ -50,7 +43,7 @@ def grow_line_masks(ms: MoveSet, cells: Sequence[tuple[int, int]], start: int,
 
 
 def torus_line_masks(ms: MoveSet, p: int) -> tuple[list[int], Callable[[int], int]]:
-    """(lines, star) as in `line_masks`, for the cells of F_p x F_p, where
+    """(lines, star) as in `grow_line_masks`, for the cells of F_p x F_p, where
     cell (x, y) is bit x*p + y and p is a valid prime for `ms`; `star(i)` is
     the star of cell i.
 

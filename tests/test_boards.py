@@ -101,5 +101,7 @@ def test_parse_board():
     assert hexish.vertices[2] == Point(Fraction(3), Fraction(1))
     with pytest.raises(GeometryError):
         parse_board("circle")
-    with pytest.raises(GeometryError):
-        parse_board("poly:0,0;1,0")
+    # too few vertices, a vertex with one coordinate, a decimal coordinate
+    for spec in ("poly:0,0;1,0", "poly:0,0;1;1,1", "poly:0,0;1,0;0.5,1"):
+        with pytest.raises(GeometryError):
+            parse_board(spec)

@@ -936,10 +936,11 @@ def test_output_to_file(tmp_path, capsys):
 
 def test_usage_error_exit_code(capsys):
     # a missing --moves; the removed witness search budget and worker
-    # count; count given both --n and --n-range
+    # count; count given both --n and --n-range; an unknown verify suite
     for argv in (("types", "--q", "2"), ("verify", "fours", "--budget", "5"),
                  ("--threads", "2", "types", "--moves", "rook", "--q", "2"),
-                 ("count", "--moves", "queen", "--q", "2", "--n", "3", "--n-range", "1:4")):
+                 ("count", "--moves", "queen", "--q", "2", "--n", "3", "--n-range", "1:4"),
+                 ("verify", "nope")):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""

@@ -507,9 +507,9 @@ def test_window_sizes():
     assert [window_size(q) for q in range(1, 7)] == [2, 3, 5, 7, 9, 11]
 
 
-def test_nightrider_q4_windows(monkeypatch):
-    # the nightrider's counts at 7, 17 and 41 are not chi(p), so the windows
-    # 11..31 and 37..61 are rejected, and 67..97 gives 576
+def recorded_windows(monkeypatch) -> list[tuple[int, int]]:
+    """The first and last primes of each window that `char_poly` is given
+    from now on, in order."""
     windows = []
     real = finitefield.char_poly
 
@@ -518,6 +518,13 @@ def test_nightrider_q4_windows(monkeypatch):
         return real(q, primes, counts)
 
     monkeypatch.setattr(finitefield, "char_poly", recording)
+    return windows
+
+
+def test_nightrider_q4_windows(monkeypatch):
+    # the nightrider's counts at 7, 17 and 41 are not chi(p), so the windows
+    # 11..31 and 37..61 are rejected, and 67..97 gives 576
+    windows = recorded_windows(monkeypatch)
     result = ff_type_count(NIGHTRIDER, 4)
     assert windows == [(11, 31), (37, 61), (67, 97)]
     assert result.unlabelled == 576
@@ -525,3 +532,15 @@ def test_nightrider_q4_windows(monkeypatch):
     bad = {p for p in valid_primes_from(NIGHTRIDER, 2, 22)
            if torus_count(NIGHTRIDER, 4, p) != result.poly(p)}
     assert bad == {7, 17, 41}
+
+
+def test_five_move_riders_at_q4(monkeypatch):
+    # r = 5 type counts at q = 4.  The third rider has an exceptional prime in
+    # every window from the default floor 11; from floor 101 the window
+    # 101..131 is rejected and 137..167 is accepted
+    assert ff_type_count(parse_moves("1,0;0,1;1,1;1,-1;1,2"), 4).unlabelled == 1659
+    assert ff_type_count(parse_moves("2,3;3,-2;1,5;5,1;1,-5"), 4).unlabelled == 1663
+    windows = recorded_windows(monkeypatch)
+    result = ff_type_count(parse_moves("1,2;2,1;1,-2;2,-1;1,4"), 4, prime_floor=101)
+    assert result.unlabelled == 1665
+    assert windows == [(101, 131), (137, 167)]

@@ -11,7 +11,6 @@ from ridertypes.finitefield import valid_prime
 from ridertypes.geometry import parse_moves
 from ridertypes.placement import (
     grow_line_masks,
-    line_masks,
     nonattacking_sets,
     pair_count,
     torus_line_masks,
@@ -64,7 +63,7 @@ def test_pair_count_on_board_subsets():
         for board in (SQUARE, TRIANGLE):
             for n in (1, 2, 4, 7):
                 cells = lattice_points(board, n)
-                lines, _stars = line_masks(ms, cells)
+                lines = grow_line_masks(ms, cells, 0, [{} for _ in ms.moves], [])
                 check_random_subsets(rng, ms, cells, lines)
 
 
@@ -135,7 +134,8 @@ def test_nonattacking_sets_on_board_subsets():
         for board in (SQUARE, TRIANGLE):
             for n in (1, 3, 5):
                 cells = lattice_points(board, n)
-                _lines, stars = line_masks(ms, cells)
+                stars = []
+                grow_line_masks(ms, cells, 0, [{} for _ in ms.moves], stars)
                 check_nonattacking_sets(rng, ms, cells, stars.__getitem__)
 
 
@@ -147,7 +147,8 @@ def test_board_stars_hold_only_the_attacked_cells_below():
             groups, grown = [{} for _ in ms.moves], []
             for n, cells, start in board_sweep(board, range(1, 8)):
                 grow_line_masks(ms, cells, start, groups, grown)
-                _lines, stars = line_masks(ms, cells)
+                stars = []
+                grow_line_masks(ms, cells, 0, [{} for _ in ms.moves], stars)
                 assert grown == stars, (str(ms), n)
                 for i, star in enumerate(stars):
                     assert star >> i == 0, (str(ms), n, i)
